@@ -831,10 +831,12 @@ def realize_q(
     if a.shape[0] != g.n:
         raise InputError(f"matrix size {a.shape[0]} does not match graph on {g.n} vertices")
     target_q = int(target_q)
-    ssp_report = verify_ssp(a, g, tol)
-    mode = "ssp" if ssp_report.holds else "smp"
-    if mode == "smp" and not verify_smp(a, g, tol).holds:
-        raise SurjectivityFailure("base matrix has neither the SSP nor the SMP")
+    report = verify_ssp(a, g, tol)
+    mode = "ssp" if report.holds else "smp"
+    if mode == "smp":
+        report = verify_smp(a, g, tol)
+        if not report.holds:
+            raise SurjectivityFailure("base matrix has neither the SSP nor the SMP")
     clusters = cluster_eigenvalues(sym_eig(a, tol).eigenvalues, tol)
     q0 = len(clusters)
     if not q0 <= target_q <= g.n:
@@ -843,7 +845,6 @@ def realize_q(
         )
 
     cur = a
-    report = ssp_report if mode == "ssp" else verify_smp(a, g, tol)
     total_iters = 0
     trace: list[float] = []
     final_residual = 0.0

@@ -93,6 +93,14 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _load_matrix(path: str) -> np.ndarray:
     return parse_matrix_text(_read(path), source=path)
 
@@ -117,7 +125,12 @@ def _tolerances(args) -> Tolerances:
         key = key.strip()
         if key not in values:
             raise InputError(f"unknown tolerance {key!r} in {TOLERANCE_ENV_VAR}")
-        values[key] = float(raw) if key != "max_iter" else int(float(raw))
+        try:
+            values[key] = float(raw) if key != "max_iter" else int(float(raw))
+        except (ValueError, OverflowError):
+            raise InputError(
+                f"{TOLERANCE_ENV_VAR} entry {item!r} is not a finite number"
+            ) from None
     for key in ("rank_tol", "cluster_tol", "newton_tol", "max_iter"):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -244,8 +257,7 @@ def _cmd_verify(args) -> int:
         report = verify_property(prop, a, graph=graph, tol=tol)
 
     if args.witness_out and report.witness is not None:
-        with open(args.witness_out, "w", encoding="utf-8") as handle:
-            handle.write(format_matrix(report.witness))
+        _write(args.witness_out, format_matrix(report.witness))
 
     body = {
         "property": prop,
@@ -331,8 +343,7 @@ def _cmd_realize(args) -> int:
             result = realize_superpattern(a, pattern, p_super, step=args.step, tol=tol)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(format_matrix(result.matrix))
+        _write(args.out, format_matrix(result.matrix))
 
     body = {
         "inputs": {"matrix": args.matrix, "graph": args.graph, "pattern": args.pattern},

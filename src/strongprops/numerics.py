@@ -49,8 +49,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank_tol", "cluster_tol", "newton_tol"):
-            if not getattr(self, name) > 0.0:
-                raise InputError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise InputError(f"{name} must be finite and strictly positive")
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
 
@@ -96,10 +97,6 @@ def symmetrize(a, name: str = "matrix") -> np.ndarray:
     if fro(a - a.T) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise InputError(f"{name} is not symmetric within tolerance")
     return (a + a.T) / 2.0
-
-
-def is_symmetric(a: np.ndarray) -> bool:
-    return fro(a - a.T) <= SYMMETRY_RTOL * max(fro(a), 1e-300)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +183,6 @@ def real_schur(a) -> RealSchurForm:
     return RealSchurForm(orthogonal=q, quasi_triangular=t)
 
 
-def _padded_singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values padded with zeros up to the column count."""
-    s = np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)
-    if len(s) < a.shape[1]:
-        s = np.concatenate([s, np.zeros(a.shape[1] - len(s))])
-    return s
-
-
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above rank_tol * sigma_max."""
     a = as_matrix(a)
@@ -206,25 +195,34 @@ def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol.rank_tol * smax))
 
 
+def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and an orthonormal basis (columns) of the numerical
+    nullspace, from one SVD.
+
+    The SVD is thin unless ``a`` has fewer rows than columns, when the full
+    V is needed for the directions no row reaches.  The all-zero matrix has
+    nullspace dimension equal to its column count.
+    """
+    a = as_matrix(a)
+    m, n = a.shape
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    if m == 0:
+        return np.zeros(0), np.eye(n)
+    _, s, vt = np.linalg.svd(a, full_matrices=m < n)
+    if s[0] == 0.0:
+        return s, np.eye(n)
+    s_full = np.concatenate([s, np.zeros(n - len(s))])
+    return s, vt[s_full <= tol.rank_tol * s[0]].T
+
+
 def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     """Dimension and orthonormal basis (columns) of the numerical nullspace.
 
     The all-zero matrix has nullspace dimension equal to its column count.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if n == 0:
-        return 0, np.zeros((0, 0))
-    if m == 0:
-        return n, np.eye(n)
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return n, np.eye(n)
-    s_full = np.concatenate([s, np.zeros(n - len(s))])
-    null_mask = s_full <= tol.rank_tol * smax
-    basis = vt[null_mask].T
-    return int(np.sum(null_mask)), basis
+    _, basis = svd_nullspace(a, tol)
+    return basis.shape[1], basis
 
 
 def lstsq_min_norm(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -6,18 +6,36 @@ base matrix A.  Every verifier runs two independent routes and demands
 agreement:
 
 primal
-    Assemble the linear map X -> (equations) column by column over an
-    orthonormal basis of the constrained subspace and compute its
-    nullspace; the property holds iff the nullspace is trivial, and any
-    nullspace vector is a concrete witness of failure.
+    The linear map X -> (equations) on the constrained subspace; the
+    property holds iff its nullspace is trivial, and any nullspace vector
+    is a concrete witness of failure.
 dual
     The property holds iff a sum of explicit subspaces spans the whole
     ambient space (closed pattern class plus a commutator/congruence
     range, plus the span of matrix powers for the SMP); check by rank.
 
-A primal/dual mismatch raises :class:`InternalCheckError` - it would mean
-the two rank decisions disagree, which the shared tolerance policy is
-meant to prevent.
+Both systems are index slices of a Kronecker matrix.  In row-major vec,
+vec(WX - XW) = C vec(X) with C = W (x) I - I (x) W^T and vec(WX) = D vec(X)
+with D = W (x) I, so the image of the matrix unit E_ij is column i*n + j.
+The constrained subspaces are spanned by matrix units on the zero cells
+(nSSP) or by pairs E_ij + E_ji on the non-edges (SSP, SMP, SAP).  Two exact
+identities shrink the systems:
+
+skew row halving
+    For symmetric W and X, WX - XW is skew, so the SSP/SMP primal keeps its
+    strictly upper rows only; with unnormalized pairs E_ij + E_ji its Gram
+    matrix, hence every singular value, equals that of the n^2-row system
+    over the orthonormal pairs (E_ij + E_ji)/sqrt(2).
+coordinate elimination
+    The closed graph class (diagonal and edges) and the sign tangent space
+    (nonzero cells) are coordinate subspaces S, and dim(S + span R) =
+    dim S + rank(R restricted to the coordinates outside S).  The dual
+    keeps only the non-edge (zero-cell) rows of its range.
+
+The eliminated dual block is then the primal's transpose up to sign,
+scaling and a row permutation - the duality itself - but it is sliced and
+factored separately, so an assembly error on either side surfaces as a
+primal/dual mismatch, raising :class:`InternalCheckError`.
 
 Inputs are normalized to unit Frobenius norm internally (all four
 properties are invariant under nonzero scaling), so verdicts do not
@@ -36,28 +54,21 @@ from .numerics import (
     Tolerances,
     as_matrix,
     fro,
-    nullspace,
     rank,
     require_square,
+    svd_nullspace,
     sym_eig,
     symmetrize,
 )
 from .patterns import (
     Graph,
-    PatternBasis,
     SignPattern,
-    cell_basis,
     cluster_eigenvalues,
-    edge_span_basis,
-    full_basis,
-    graph_closure_basis,
     matrix_in_graph_class,
     matrix_in_sign_class,
-    sign_tangent_basis,
-    skew_basis,
 )
 
-WITNESS_RESIDUAL_SCALE = 1e-8
+SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,67 +117,74 @@ class StrongPropertyReport:
         }
 
 
-def _stack_columns(matrices) -> np.ndarray:
-    return np.column_stack([m.reshape(-1) for m in matrices])
+# Cells are (row indices, column indices) pairs, as numpy indexes them;
+# reversing a pair transposes its cells.
 
 
-def _primal_nullspace(images, extra_rows, tol):
-    """Nullspace of the stacked constraint system; columns index the
-    constrained-subspace basis."""
-    cols = [m.reshape(-1) for m in images]
-    system = np.column_stack(cols)
-    if extra_rows:
-        system = np.vstack([system, np.array(extra_rows)])
-    dim, basis = nullspace(system, tol)
-    svals = np.linalg.svd(system, compute_uv=False)
+def _left_block(w, rows, cols) -> np.ndarray:
+    """Rows (a, b), columns (i, j) of D = W (x) I: D[ab, ij] = W[a, i] [b = j]."""
+    a, b = rows[0][:, None], rows[1][:, None]
+    i, j = cols[0][None, :], cols[1][None, :]
+    return w[a, i] * (b == j)
+
+
+def _commutator_block(w, rows, cols) -> np.ndarray:
+    """Rows (a, b), columns (i, j) of C = W (x) I - I (x) W^T:
+    C[ab, ij] = W[a, i] [b = j] - [a = i] W[j, b]."""
+    a, b = rows[0][:, None], rows[1][:, None]
+    i, j = cols[0][None, :], cols[1][None, :]
+    return _left_block(w, rows, cols) - (a == i) * w[j, b]
+
+
+def _non_edges(g: Graph):
+    """Strictly upper cells (i < j) that are not edges, in row-major order."""
+    adjacent = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in g.edges:
+        adjacent[i, j] = True
+    rows, cols = np.triu_indices(g.n, 1)
+    keep = ~adjacent[rows, cols]
+    return rows[keep], cols[keep]
+
+
+def _primal_nullspace(system: np.ndarray, tol: Tolerances):
+    """Nullspace dimension, basis and smallest singular value of the primal
+    system, from one SVD; columns index the constrained cells."""
+    svals, basis = svd_nullspace(system, tol)
     sigma_min = float(svals[-1]) if len(svals) >= system.shape[1] else 0.0
-    return dim, basis, sigma_min
+    return basis.shape[1], basis, sigma_min
 
 
-def _witness_from(basis: PatternBasis, coeffs: np.ndarray) -> np.ndarray:
-    w = basis.combine(coeffs)
+def _witness_from(n: int, cells, coeffs: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Unit-norm matrix carrying ``coeffs`` on ``cells`` (mirrored across the
+    diagonal when ``symmetric``) and exact zeros elsewhere."""
+    w = np.zeros((n, n))
+    w[cells] = coeffs
+    if symmetric:
+        w = w + w.T
     return w / fro(w)
 
 
-def _smp_trace_rows(powers, x_basis):
-    """Rows tr(A^k X_j) of the SMP primal system, one row per power."""
-    return [[float(np.sum(p * x)) for x in x_basis.matrices] for p in powers]
-
-
 def _check_and_build(
-    name: str,
-    a_original: np.ndarray,
-    x_basis: PatternBasis,
-    image_of,
-    extra_rows,
-    dual_mats,
-    ambient: int,
-    tol: Tolerances,
-    residual_of=None,
-    q_used: int | None = None,
-    q_alternatives=(),
+    name, n, cells, symmetric, primal, dual, tol, residual_of, q_used=None, q_alternatives=()
 ) -> StrongPropertyReport:
-    if x_basis.dim == 0:
+    """Decide both routes and build the report.  ``dual`` has one row per
+    constrained cell: the coordinates not eliminated from the ambient space."""
+    if primal.shape[1] == 0:
         # Constrained subspace is {O}: the property holds with no solve.
         holds, null_dim, sigma_min, witness = True, 0, float("inf"), None
     else:
-        images = [image_of(x) for x in x_basis.matrices]
-        null_dim, null_basis, sigma_min = _primal_nullspace(images, extra_rows, tol)
+        null_dim, null_basis, sigma_min = _primal_nullspace(primal, tol)
         holds = null_dim == 0
-        witness = None if holds else _witness_from(x_basis, null_basis[:, 0])
+        witness = None if holds else _witness_from(n, cells, null_basis[:, 0], symmetric)
 
-    dual_dim = rank(_stack_columns(dual_mats), tol)
+    ambient = n * (n + 1) // 2 if symmetric else n * n
+    dual_dim = ambient - dual.shape[0] + rank(dual, tol)
     dual_verdict = dual_dim == ambient
     if dual_verdict != holds:
         raise InternalCheckError(
             f"{name}: primal verdict {holds} disagrees with dual verdict "
             f"{dual_verdict} (nullspace {null_dim}, dual span {dual_dim}/{ambient})"
         )
-
-    witness_residual = None
-    if witness is not None and residual_of is not None:
-        witness_residual = residual_of(witness)
-
     return StrongPropertyReport(
         property_name=name,
         holds=holds,
@@ -176,7 +194,7 @@ def _check_and_build(
         ambient_dim=ambient,
         dual_verdict=dual_verdict,
         witness=witness,
-        witness_residual=witness_residual,
+        witness_residual=None if witness is None else residual_of(witness),
         q_used=q_used,
         q_alternatives=tuple(q_alternatives),
     )
@@ -195,6 +213,19 @@ def _prepare_symmetric(a, g: Graph, tol: Tolerances):
     return a, work
 
 
+def _commutator_systems(w: np.ndarray, g: Graph):
+    """Non-edge cells, the halved SSP primal (upper rows x non-edge pairs)
+    and the eliminated SSP dual (non-edge rows x skew pairs E_ij - E_ji)."""
+    cells, upper = _non_edges(g), np.triu_indices(g.n, 1)
+    primal = _commutator_block(w, upper, cells) + _commutator_block(w, upper, cells[::-1])
+    dual = _commutator_block(w, cells, upper) - _commutator_block(w, cells, upper[::-1])
+    return cells, primal, dual
+
+
+def _commutator_residual(a):
+    return lambda x: fro(a @ x - x @ a) / max(fro(a), 1e-300)
+
+
 def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyReport:
     """Strong spectral property of a symmetric matrix relative to its graph.
 
@@ -203,21 +234,8 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     symmetric matrices.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    n = g.n
-    x_basis = edge_span_basis(g.complement())
-    dual = list(graph_closure_basis(g).matrices)
-    dual += [w @ k - k @ w for k in skew_basis(n).matrices]
-    return _check_and_build(
-        "ssp",
-        a,
-        x_basis,
-        image_of=lambda x: w @ x - x @ w,
-        extra_rows=None,
-        dual_mats=dual,
-        ambient=n * (n + 1) // 2,
-        tol=tol,
-        residual_of=lambda x: fro(a @ x - x @ a) / max(fro(a), 1e-300),
-    )
+    cells, primal, dual = _commutator_systems(w, g)
+    return _check_and_build("ssp", g.n, cells, True, primal, dual, tol, _commutator_residual(a))
 
 
 def _smp_q_candidates(lam: np.ndarray, tol: Tolerances) -> tuple[int, list[int]]:
@@ -243,6 +261,15 @@ def _smp_q_candidates(lam: np.ndarray, tol: Tolerances) -> tuple[int, list[int]]
     return q, alternatives
 
 
+def _trace_rows(w: np.ndarray, cells, q: int) -> np.ndarray:
+    """Rows tr(W^k X) = sqrt(2) (W^k)_ij over the non-edge pairs, k < q."""
+    rows, power = [], np.eye(w.shape[0])
+    for _ in range(q):
+        rows.append(SQRT2 * power[cells])
+        power = power @ w
+    return np.array(rows)
+
+
 def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyReport:
     """Strong multiplicity property: the SSP system plus the trace
     conditions tr(A^k X) = 0 for k = 0..q-1, with q the number of distinct
@@ -253,62 +280,31 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     q values are reported as well.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    n = g.n
-    lam = sym_eig(w, tol).eigenvalues
-    q, alt_qs = _smp_q_candidates(lam, tol)
-
-    x_basis = edge_span_basis(g.complement())
-    dual_base = list(graph_closure_basis(g).matrices)
-    dual_base += [w @ k - k @ w for k in skew_basis(n).matrices]
-
-    def build(q_val):
-        powers = [np.linalg.matrix_power(w, k) for k in range(q_val)]
-        extra = _smp_trace_rows(powers, x_basis) if x_basis.dim else None
-        return powers, extra
+    q, alt_qs = _smp_q_candidates(sym_eig(w, tol).eigenvalues, tol)
+    cells, commutator, dual = _commutator_systems(w, g)
 
     def verdict_only(q_val) -> bool:
-        if x_basis.dim == 0:
-            return True
-        powers, extra = build(q_val)
-        images = [w @ x - x @ w for x in x_basis.matrices]
-        dim, _, _ = _primal_nullspace(images, extra, tol)
-        return dim == 0
+        system = np.vstack([commutator, _trace_rows(w, cells, q_val)])
+        return system.shape[1] == 0 or rank(system, tol) == system.shape[1]
 
-    powers, extra = build(q)
-    report = _check_and_build(
-        "smp",
-        a,
-        x_basis,
-        image_of=lambda x: w @ x - x @ w,
-        extra_rows=extra,
-        dual_mats=dual_base + powers,
-        ambient=n * (n + 1) // 2,
-        tol=tol,
-        residual_of=lambda x: fro(a @ x - x @ a) / max(fro(a), 1e-300),
-        q_used=q,
-        q_alternatives=[(alt, verdict_only(alt)) for alt in alt_qs if 1 <= alt <= n],
+    trace = _trace_rows(w, cells, q)
+    return _check_and_build(
+        "smp", g.n, cells, True, np.vstack([commutator, trace]), np.hstack([dual, trace.T]),
+        tol, _commutator_residual(a), q_used=q,
+        q_alternatives=[(alt, verdict_only(alt)) for alt in alt_qs if 1 <= alt <= g.n],
     )
-    return report
 
 
 def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyReport:
     """Strong Arnol'd property: A o X = O, I o X = O, A X = O; dual uses
     {L^T A + A L} with L ranging over all square matrices."""
     a, w = _prepare_symmetric(a, g, tol)
-    n = g.n
-    x_basis = edge_span_basis(g.complement())
-    dual = list(graph_closure_basis(g).matrices)
-    dual += [l.T @ w + w @ l for l in full_basis(n).matrices]
+    cells, every = _non_edges(g), np.divmod(np.arange(g.n * g.n), g.n)
+    primal = (_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2
+    dual = SQRT2 * (_left_block(w, cells, every) + _left_block(w, cells[::-1], every))
     return _check_and_build(
-        "sap",
-        a,
-        x_basis,
-        image_of=lambda x: w @ x,
-        extra_rows=None,
-        dual_mats=dual,
-        ambient=n * (n + 1) // 2,
-        tol=tol,
-        residual_of=lambda x: fro(a @ x) / max(fro(a), 1e-300),
+        "sap", g.n, cells, True, primal, dual, tol,
+        lambda x: fro(a @ x) / max(fro(a), 1e-300),
     )
 
 
@@ -333,19 +329,11 @@ def verify_nssp(
         pattern = SignPattern.from_matrix(a)
     scale = fro(a)
     w = a / scale if scale > 0 else a
-    x_basis = cell_basis(n, pattern.zero_cells())
-    dual = list(sign_tangent_basis(pattern).matrices)
-    dual += [w @ l - l @ w for l in full_basis(n).matrices]
+    cells, every = np.nonzero(pattern.as_array() == 0), np.divmod(np.arange(n * n), n)
     return _check_and_build(
-        "nssp",
-        a,
-        x_basis,
-        image_of=lambda x: w @ x.T - x.T @ w,
-        extra_rows=None,
-        dual_mats=dual,
-        ambient=n * n,
-        tol=tol,
-        residual_of=lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300),
+        "nssp", n, cells, False,
+        _commutator_block(w, every, cells[::-1]), _commutator_block(w, cells, every), tol,
+        lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300),
     )
 
 

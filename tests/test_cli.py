@@ -52,6 +52,28 @@ class TestVerifyCommand:
         w = parse_matrix_text(witness_path.read_text())
         assert np.allclose(np.abs(w), np.array([[0, 1], [1, 0]]) / np.sqrt(2))
 
+    def test_witness_out_into_missing_directory_exit_two(self, workdir, capsys):
+        code, _, err = run(
+            capsys,
+            ["verify", workdir / "zero2.mat", "--property", "ssp",
+             "--graph", workdir / "empty2.graph",
+             "--witness-out", workdir / "missing" / "witness.mat"],
+        )
+        assert code == 2
+        assert "cannot write" in err
+
+    def test_infinite_rank_tol_rejected(self, workdir, capsys):
+        # diag(1, 2) on the empty graph has the SSP; an infinite cutoff
+        # would zero every singular value and report a failure
+        (workdir / "d12.mat").write_text("1 0\n0 2\n")
+        code, _, err = run(
+            capsys,
+            ["verify", workdir / "d12.mat", "--property", "ssp",
+             "--graph", workdir / "empty2.graph", "--rank-tol", "inf"],
+        )
+        assert code == 2
+        assert "rank_tol must be finite" in err
+
     def test_malformed_matrix_exit_two(self, workdir, capsys):
         code, _, err = run(
             capsys,
@@ -100,6 +122,15 @@ class TestRealizeCommand:
         a_json = np.array(doc["result"]["matrix"])
         a_file = parse_matrix_text(out_path.read_text())
         assert np.array_equal(a_json, a_file)
+
+    def test_out_into_missing_directory_exit_two(self, workdir, capsys):
+        code, _, err = run(
+            capsys,
+            ["realize", workdir / "p3adj.mat", "--graph", workdir / "p3.graph",
+             "--target-spectrum", "-1 0 1", "--out", workdir / "missing" / "b.mat"],
+        )
+        assert code == 2
+        assert "cannot write" in err
 
     def test_identity_target_zero_iterations(self, workdir, capsys):
         code, out, _ = run(
@@ -294,3 +325,12 @@ class TestToleranceFlags:
             capsys, ["verify", workdir / "ex15.mat", "--property", "nssp"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("entry", ["max_iter=abc", "max_iter=inf", "rank_tol=x"])
+    def test_unparsable_env_var_value(self, workdir, capsys, monkeypatch, entry):
+        monkeypatch.setenv("STRONGPROPS_TOLERANCES", entry)
+        code, _, err = run(
+            capsys, ["verify", workdir / "ex15.mat", "--property", "nssp"]
+        )
+        assert code == 2
+        assert "STRONGPROPS_TOLERANCES" in err

@@ -24,6 +24,9 @@ def test_tolerances_validation():
         Tolerances(rank_tol=0.0)
     with pytest.raises(InputError):
         Tolerances(max_iter=0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InputError):
+            Tolerances(rank_tol=bad)
 
 
 class TestSymEig:

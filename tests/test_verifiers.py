@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongprops.errors import InputError
 from strongprops.numerics import fro
@@ -253,3 +255,38 @@ class TestCrossProperties:
             verify_property("xyz", twisted_c4, graph=c4)
         with pytest.raises(InputError):
             verify_property("ssp", twisted_c4)
+
+
+@st.composite
+def _integer_instances(draw):
+    """Small integer matrices (exact failures are common), a symmetric one
+    whose nonzero off-diagonal entries define its graph and a square one,
+    plus a vertex permutation and a positive scale."""
+    n = draw(st.integers(2, 7))
+    entries = st.integers(-2, 2)
+    sym = np.diag(draw(st.lists(entries, min_size=n, max_size=n))).astype(float)
+    rows, cols = np.triu_indices(n, 1)
+    sym[rows, cols] = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    sym[cols, rows] = sym[rows, cols]
+    square = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)), float)
+    perm = draw(st.permutations(range(n)))
+    scale = draw(st.sampled_from([1e-5, 0.3, 7.0, 1e5]))
+    return sym, square.reshape(n, n), perm, scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_integer_instances())
+def test_verdicts_invariant_under_permutation_and_scaling(instance):
+    sym, square, perm, scale = instance
+    n = sym.shape[0]
+    p = np.zeros((n, n))
+    p[perm, np.arange(n)] = 1.0
+    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if sym[i, j]])
+    moved_sym = scale * (p @ sym @ p.T)
+    for verifier in ALL_SYMMETRIC:
+        base = verifier(sym, g)
+        moved = verifier(moved_sym, g.permuted(perm))
+        assert (moved.holds, moved.nullspace_dim) == (base.holds, base.nullspace_dim)
+    base = verify_nssp(square)
+    moved = verify_nssp(scale * (p @ square @ p.T))
+    assert (moved.holds, moved.nullspace_dim) == (base.holds, base.nullspace_dim)
