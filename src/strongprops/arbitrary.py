@@ -563,7 +563,6 @@ def certify_inertially_arbitrary(
     # pristine zeros (an unshifted defective block is the one configuration
     # whose zero eigenvalues are numerically fragile).
     schur = real_schur(a)
-    t_mat = schur.quasi_triangular
     thr = eig_zero_threshold(a, tol)
     pair_blocks: list[int] = []
     defective_slots: list[int] = []
@@ -572,10 +571,7 @@ def certify_inertially_arbitrary(
         if size == 1:
             simple_slots.append(start)
             continue
-        mean = (t_mat[start, start] + t_mat[start + 1, start + 1]) / 2.0
-        disc = (
-            (t_mat[start, start] - t_mat[start + 1, start + 1]) / 2.0
-        ) ** 2 + t_mat[start, start + 1] * t_mat[start + 1, start]
+        mean, disc = schur.block_mean_disc(start)
         radius = math.sqrt(abs(disc))
         if abs(mean) + radius <= thr:
             defective_slots.extend([start, start + 1])

@@ -204,69 +204,60 @@ class PerturbationMap:
 
     def jacobian(self, params) -> np.ndarray:
         """Directional derivatives along every basis direction, stacked as
-        columns of an (n^2 x param_dim) matrix.  Analytic at every
-        parameter value (matrix-exponential directions use the Frechet
-        derivative)."""
+        columns of an (n^2 x param_dim) matrix, all built at once from the
+        (dim, n, n) basis stacks.  Analytic at every parameter value.
+
+        For ssp/smp the derivative along a skew direction E is
+        e^-K [mid, Psi(E)] e^K, where mid = A + B (or p(A + B)) and
+        Psi(E) = L_exp(K, E) e^-K = int_0^1 e^{sK} E e^{-sK} ds comes from
+        the divided-difference formula in K's eigenbasis (see
+        :func:`_exp_derivative_factor`).  At K = 0, Psi is the identity
+        and no exponential is formed, so J(0) has the exact columns
+        mid E - E mid, the pattern directions and the powers of A + B.
+        """
         b, s, c = self._unpack(params)
         bm = self._combine(self._b_basis, b)
         sm = self._combine(self._second_basis, s)
-        cols: list[np.ndarray] = []
+        b_dirs, s_dirs = self._b_basis.stack, self._second_basis.stack
         if self.kind in ("ssp", "smp"):
             m = self.base + bm
             powers = [np.eye(self.n)]
-            for _ in range(max(self._c_dim - 1, 0)):
+            for _ in range(self._c_dim - 1):
                 powers.append(powers[-1] @ m)
             mid = self._poly_apply(m, c) if self.kind == "smp" else m
-            e_pos = scipy.linalg.expm(sm)
-            e_neg = scipy.linalg.expm(-sm)
-            for direction in self._b_basis.matrices:
-                inner = direction
-                if self.kind == "smp":
-                    # derivative of p(M) along the pattern direction
-                    inner = direction.copy()
-                    for k in range(1, self._c_dim):
-                        if c[k] == 0.0:
-                            continue
-                        term = sum(
-                            powers[j] @ direction @ powers[k - 1 - j]
-                            for j in range(k)
-                        )
-                        inner = inner + c[k] * term
-                cols.append(e_neg @ inner @ e_pos)
-            for direction in self._second_basis.matrices:
-                _, d_pos = scipy.linalg.expm_frechet(sm, direction)
-                _, d_neg = scipy.linalg.expm_frechet(-sm, -direction)
-                cols.append(d_neg @ mid @ e_pos + e_neg @ mid @ d_pos)
-            for k in range(self._c_dim):
-                pk = powers[k] if k < len(powers) else powers[-1] @ m
-                cols.append(e_neg @ pk @ e_pos)
+            inner = b_dirs
+            for k in range(1, self._c_dim):
+                # derivative of p(M) along the pattern directions
+                if c[k] != 0.0:
+                    term = sum(powers[j] @ b_dirs @ powers[k - 1 - j] for j in range(k))
+                    inner = inner + c[k] * term
+            psi = _exp_derivative_factor(sm, s_dirs)
+            blocks = [inner, mid @ psi - psi @ mid]
+            if self.kind == "smp":
+                blocks.append(np.stack(powers))
+            if sm.any():
+                e_pos = scipy.linalg.expm(sm)
+                e_neg = scipy.linalg.expm(-sm)
+                blocks = [e_neg @ block @ e_pos for block in blocks]
         elif self.kind == "sap":
             m = self.base + bm
             s_mat = np.eye(self.n) + sm
-            for direction in self._b_basis.matrices:
-                cols.append(s_mat.T @ direction @ s_mat)
-            for direction in self._second_basis.matrices:
-                cols.append(direction.T @ m @ s_mat + s_mat.T @ m @ direction)
+            blocks = [
+                s_mat.T @ b_dirs @ s_mat,
+                s_dirs.transpose(0, 2, 1) @ m @ s_mat + s_mat.T @ m @ s_dirs,
+            ]
         else:
             s_mat = np.eye(self.n) + sm
             s_inv = np.linalg.inv(s_mat)
             if self.kind == "nssp_similar":
                 m = self.base + bm
-                f0 = s_inv @ m @ s_mat
-                for direction in self._b_basis.matrices:
-                    cols.append(s_inv @ direction @ s_mat)
-                for direction in self._second_basis.matrices:
-                    cols.append(-s_inv @ direction @ f0 + s_inv @ m @ direction)
+                b_cols = s_inv @ b_dirs @ s_mat
             else:
-                a = self.base
-                f0 = s_inv @ a @ s_mat
-                for direction in self._b_basis.matrices:
-                    cols.append(direction)
-                for direction in self._second_basis.matrices:
-                    cols.append(-s_inv @ direction @ f0 + s_inv @ a @ direction)
-        if not cols:
-            return np.zeros((self.n * self.n, 0))
-        return np.column_stack([col.reshape(-1) for col in cols])
+                m = self.base
+                b_cols = b_dirs
+            f0 = s_inv @ m @ s_mat
+            blocks = [b_cols, -s_inv @ s_dirs @ f0 + s_inv @ m @ s_dirs]
+        return np.concatenate(blocks).reshape(-1, self.n * self.n).T
 
     # -- class checks and extraction --------------------------------------
 
@@ -301,6 +292,29 @@ class PerturbationMap:
         if self.kind == "sap":
             return verify_sap(a, self.graph, tol)
         return verify_nssp(a, tol, pattern=self.check_pattern())
+
+
+def _exp_derivative_factor(k: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Psi(E) = L_exp(K, E) e^-K = int_0^1 e^{sK} E e^{-sK} ds for a skew K,
+    for every E in the (d, n, n) stack ``directions``.
+
+    With K = V diag(lambda) V^H, Psi(E) = V (phi o V^H E V) V^H where
+    phi_ij = expm1(lambda_i - lambda_j) / (lambda_i - lambda_j), and 1 where
+    the eigenvalues coincide (Daleckii-Krein; Higham, Functions of Matrices,
+    2008, sec. 3.2).  The eigenvalues of a skew K are imaginary: with
+    lambda_i - lambda_j = i theta_ij, phi_ij = sin(theta)/theta +
+    i (1 - cos(theta))/theta, evaluated as sinc(theta) +
+    i (theta/2) sinc(theta/2)^2 (unnormalized sinc), which has no
+    cancellation at small gaps and is exactly 1 at theta = 0.  At K = 0 the
+    stack is returned as it is.
+    """
+    if not k.any():
+        return directions
+    mu, v = np.linalg.eigh(1j * k)  # K = V diag(-i mu) V^H
+    theta = mu[None, :] - mu[:, None]
+    phi = np.sinc(theta / np.pi) + 0.5j * theta * np.sinc(theta / (2.0 * np.pi)) ** 2
+    vh = v.conj().T
+    return (v @ (phi * (vh @ directions @ v)) @ vh).real
 
 
 def ssp_map(a, g: Graph) -> PerturbationMap:
@@ -484,7 +498,9 @@ def solve_to_target(
                 best_residual=best,
                 trace=trace,
             )
-        step = lstsq_min_norm(f.jacobian(params), residual, tol)
+        # the first step is taken at zero, where J(0) is already built
+        jac = j0 if it == 0 else f.jacobian(params)
+        step = lstsq_min_norm(jac, residual, tol)
         new_params = params + step
         if f.kind in _NSSP_KINDS:
             l_old = f.second_norm(params)
@@ -848,8 +864,8 @@ def realize_q(
     total_iters = 0
     trace: list[float] = []
     final_residual = 0.0
-    while True:
-        clusters = cluster_eigenvalues(sym_eig(cur, tol).eigenvalues, tol)
+    # every split raises q by at least one, so n splits reach any target
+    for _split in range(g.n):
         q_cur = len(clusters)
         if q_cur >= target_q:
             final_map = ssp_map(cur, g) if mode == "ssp" else smp_map(cur, g, tol)
@@ -890,6 +906,14 @@ def realize_q(
         total_iters += res.iterations
         final_residual = res.final_residual
         trace.extend(res.residual_trace)
+        clusters = cluster_eigenvalues(sym_eig(cur, tol).eigenvalues, tol)
+        if len(clusters) <= q_cur:
+            raise TargetError(
+                f"splitting an eigenvalue left q at {q_cur}: the split width is "
+                "below the eigenvalue clustering threshold (raise the trust "
+                "radius or lower cluster_tol)"
+            )
+    raise NoConvergence("q splitting did not terminate")
 
 
 def _char_poly_residual(a: np.ndarray, reference_coeffs: np.ndarray) -> float:

@@ -48,6 +48,7 @@ from .bifurcation import (
 from .errors import (
     HypothesisFailure,
     InputError,
+    InternalCheckError,
     NoConvergence,
     ParseError,
     PatternViolation,
@@ -79,6 +80,7 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_PATTERN_VIOLATION = 5
 EXIT_TARGET = 6
 EXIT_INCOMPLETE = 7
+EXIT_INTERNAL = 8
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +653,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except StrongPropsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

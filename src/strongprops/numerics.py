@@ -147,6 +147,16 @@ class RealSchurForm:
                 i += 1
         return blocks
 
+    def block_mean_disc(self, start: int) -> tuple[float, float]:
+        """Mean and discriminant of the 2x2 diagonal block at ``start``: its
+        eigenvalues are mean +- sqrt(disc)."""
+        t = self.quasi_triangular
+        a11, a12 = t[start, start], t[start, start + 1]
+        a21, a22 = t[start + 1, start], t[start + 1, start + 1]
+        mean = (a11 + a22) / 2.0
+        disc = ((a11 - a22) / 2.0) ** 2 + a12 * a21
+        return mean, disc
+
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues read off the diagonal blocks (complex array)."""
         t = self.quasi_triangular
@@ -155,10 +165,7 @@ class RealSchurForm:
             if size == 1:
                 out.append(complex(t[start, start]))
             else:
-                a11, a12 = t[start, start], t[start, start + 1]
-                a21, a22 = t[start + 1, start], t[start + 1, start + 1]
-                mean = (a11 + a22) / 2.0
-                disc = ((a11 - a22) / 2.0) ** 2 + a12 * a21
+                mean, disc = self.block_mean_disc(start)
                 if disc < 0.0:
                     b = np.sqrt(-disc)
                     out.extend([complex(mean, b), complex(mean, -b)])
@@ -278,10 +285,7 @@ def char_poly(a) -> np.ndarray:
         if size == 1:
             blocks.append(("r", t[start, start]))
         else:
-            a11, a12 = t[start, start], t[start, start + 1]
-            a21, a22 = t[start + 1, start], t[start + 1, start + 1]
-            mean = (a11 + a22) / 2.0
-            disc = ((a11 - a22) / 2.0) ** 2 + a12 * a21
+            mean, disc = schur.block_mean_disc(start)
             if disc < 0.0:
                 blocks.append(("c", mean, np.sqrt(-disc)))
             else:

@@ -293,14 +293,21 @@ class PatternBasis:
 
     ``ambient_dim`` is the dimension of the ambient space the subspace
     lives in (n^2 for all of M_n, n(n+1)/2 for symmetric, ...).
+    ``stack`` holds the basis matrices as one (dim, n, n) array, built
+    once, so that combinations and Jacobians work on all of them at once.
     """
 
     ambient_dim: int
-    matrices: tuple[np.ndarray, ...]
+    stack: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.matrices)
+        return self.stack.shape[0]
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """The basis matrices, as views of the stack."""
+        return tuple(self.stack)
 
     def combine(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -308,63 +315,67 @@ class PatternBasis:
             raise InputError(f"expected {self.dim} coefficients, got {coeffs.shape}")
         if self.dim == 0:
             raise InputError("cannot combine an empty basis")
-        return np.einsum("k,kij->ij", coeffs, np.stack(self.matrices))
+        return np.einsum("k,kij->ij", coeffs, self.stack)
 
     def coefficients_of(self, a: np.ndarray) -> np.ndarray:
         """Coefficients of the orthogonal projection of ``a`` onto the span."""
-        return np.array([float(np.sum(b * a)) for b in self.matrices])
+        return np.array([float(np.sum(b * a)) for b in self.stack])
 
 
-def _basis_entry(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[i, j] = 1.0
-    return m
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _basis_sym_pair(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-    return m
+def _basis_stack(n: int, units=(), pairs=(), mirror: float = 1.0) -> np.ndarray:
+    """(dim, n, n) stack: the matrix units at the cells ``units``, then one
+    matrix per (i, j) in ``pairs`` with 1/sqrt(2) at (i, j) and
+    mirror/sqrt(2) at (j, i).  Entries are set one by one: the bases are
+    small, and scalar stores beat fancy indexing at these sizes."""
+    units, pairs = list(units), list(pairs)
+    stack = np.zeros((len(units) + len(pairs), n, n))
+    for k, (i, j) in enumerate(units):
+        stack[k, i, j] = 1.0
+    for k, (i, j) in enumerate(pairs, start=len(units)):
+        stack[k, i, j] = _INV_SQRT2
+        stack[k, j, i] = mirror * _INV_SQRT2
+    return stack
 
 
-def _basis_skew_pair(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[i, j] = 1.0 / np.sqrt(2.0)
-    m[j, i] = -1.0 / np.sqrt(2.0)
-    return m
+def _diagonal(n: int) -> list[tuple[int, int]]:
+    return [(i, i) for i in range(n)]
+
+
+def _upper_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def symmetric_basis(n: int) -> PatternBasis:
     """Orthonormal basis of all symmetric n x n matrices."""
-    mats = [_basis_entry(n, i, i) for i in range(n)]
-    mats += [_basis_sym_pair(n, i, j) for i in range(n) for j in range(i + 1, n)]
-    return PatternBasis(ambient_dim=n * (n + 1) // 2, matrices=tuple(mats))
+    stack = _basis_stack(n, units=_diagonal(n), pairs=_upper_pairs(n))
+    return PatternBasis(ambient_dim=n * (n + 1) // 2, stack=stack)
 
 
 def skew_basis(n: int) -> PatternBasis:
     """Orthonormal basis of all skew-symmetric n x n matrices."""
-    mats = [_basis_skew_pair(n, i, j) for i in range(n) for j in range(i + 1, n)]
-    return PatternBasis(ambient_dim=n * (n - 1) // 2, matrices=tuple(mats))
+    stack = _basis_stack(n, pairs=_upper_pairs(n), mirror=-1.0)
+    return PatternBasis(ambient_dim=n * (n - 1) // 2, stack=stack)
 
 
 def full_basis(n: int) -> PatternBasis:
     """Orthonormal basis of all n x n matrices (matrix units)."""
-    mats = [_basis_entry(n, i, j) for i in range(n) for j in range(n)]
-    return PatternBasis(ambient_dim=n * n, matrices=tuple(mats))
+    stack = _basis_stack(n, units=[(i, j) for i in range(n) for j in range(n)])
+    return PatternBasis(ambient_dim=n * n, stack=stack)
 
 
 def hollow_symmetric_basis(n: int) -> PatternBasis:
     """Symmetric matrices with zero diagonal."""
-    mats = [_basis_sym_pair(n, i, j) for i in range(n) for j in range(i + 1, n)]
-    return PatternBasis(ambient_dim=n * (n + 1) // 2, matrices=tuple(mats))
+    return PatternBasis(ambient_dim=n * (n + 1) // 2, stack=_basis_stack(n, pairs=_upper_pairs(n)))
 
 
 def graph_closure_basis(g: Graph) -> PatternBasis:
     """Closure of the graph class: diagonal free, off-diagonal supported on
     edges.  Dimension n + |E|."""
-    mats = [_basis_entry(g.n, i, i) for i in range(g.n)]
-    mats += [_basis_sym_pair(g.n, i, j) for i, j in g.edges]
-    return PatternBasis(ambient_dim=g.n * (g.n + 1) // 2, matrices=tuple(mats))
+    stack = _basis_stack(g.n, units=_diagonal(g.n), pairs=g.edges)
+    return PatternBasis(ambient_dim=g.n * (g.n + 1) // 2, stack=stack)
 
 
 def edge_span_basis(g: Graph) -> PatternBasis:
@@ -374,14 +385,12 @@ def edge_span_basis(g: Graph) -> PatternBasis:
     {X symmetric : A o X = O, I o X = O} of the symmetric strong
     properties.
     """
-    mats = [_basis_sym_pair(g.n, i, j) for i, j in g.edges]
-    return PatternBasis(ambient_dim=g.n * (g.n + 1) // 2, matrices=tuple(mats))
+    return PatternBasis(ambient_dim=g.n * (g.n + 1) // 2, stack=_basis_stack(g.n, pairs=g.edges))
 
 
 def cell_basis(n: int, cells) -> PatternBasis:
     """Matrix units at the given (i, j) cells, ambient M_n."""
-    mats = [_basis_entry(n, i, j) for i, j in cells]
-    return PatternBasis(ambient_dim=n * n, matrices=tuple(mats))
+    return PatternBasis(ambient_dim=n * n, stack=_basis_stack(n, units=cells))
 
 
 def sign_tangent_basis(p: SignPattern) -> PatternBasis:

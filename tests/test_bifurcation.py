@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,23 @@ class TestRealizeQ:
             res = realize_q(twisted_c4, c4, target_q)
             assert res.achieved == target_q
             assert res.property_report.holds
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_split_below_cluster_threshold_raises(self):
+        # a split of width 1e-8 merges back into one cluster (cluster_tol
+        # 1e-6), so q cannot grow; this used to loop forever
+        def timed_out(signum, frame):
+            raise TimeoutError("realize_q did not return within 20 s")
+
+        g = Graph.complete(3)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(20)
+        try:
+            with pytest.raises(TargetError, match="clustering threshold"):
+                realize_q(adjacency(g), g, 3, trust_radius=1e-8)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_out_of_range(self, twisted_c4, c4):
         with pytest.raises(TargetError):

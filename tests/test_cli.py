@@ -74,6 +74,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "rank_tol must be finite" in err
 
+    def test_primal_dual_disagreement_exit_eight(self, workdir, capsys, monkeypatch):
+        # a dual route that sees rank 0 contradicts the primal verdict
+        monkeypatch.setattr("strongprops.verifiers.rank", lambda a, tol: 0)
+        code, _, err = run(
+            capsys,
+            ["verify", workdir / "c4twist.mat", "--property", "ssp", "--graph", workdir / "c4.graph"],
+        )
+        assert code == 8
+        assert "internal check failed" in err and "disagrees" in err
+
     def test_malformed_matrix_exit_two(self, workdir, capsys):
         code, _, err = run(
             capsys,
