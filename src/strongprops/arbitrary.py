@@ -505,20 +505,26 @@ def raise_nilpotent_index(
     raise StrongPropsError("index check failure: could not realize index n")
 
 
-def _allocate_perturbations(count: int, pairs_avail: int, zeros_avail: int):
-    """How many conjugate pairs / zero eigenvalues to push to one sign to
-    produce ``count`` eigenvalues of that sign."""
-    if 2 * pairs_avail >= count:
-        pairs_used = count // 2
-        zeros_used = count % 2
-    else:
-        pairs_used = pairs_avail
-        zeros_used = count - 2 * pairs_avail
-    if zeros_used > zeros_avail:
-        raise InternalCheckError(
-            "inertia target allocation infeasible despite hypothesis"
-        )
-    return pairs_used, zeros_used
+def _allocate_perturbations(
+    p_target: int, q_target: int, pairs_avail: int, zeros_avail: int
+) -> tuple[int, int, int, int]:
+    """(pairs_pos, zeros_pos, pairs_neg, zeros_neg): how many conjugate
+    pairs and zero eigenvalues to push into each half-plane to produce
+    ``p_target`` positive and ``q_target`` negative real parts.
+
+    As many zeros as the target allows are shifted, and pairs make up the
+    rest: an unshifted pure-imaginary pair stays simple, while an unshifted
+    zero of a Jordan block splits by about the square root of roundoff
+    once realized, which can exceed the eigenvalue-zero threshold.
+    """
+    for zeros in range(min(p_target + q_target, zeros_avail), -1, -1):
+        for zeros_pos in range(min(p_target, zeros), max(zeros - q_target, 0) - 1, -1):
+            zeros_neg = zeros - zeros_pos
+            pairs_pos, odd_pos = divmod(p_target - zeros_pos, 2)
+            pairs_neg, odd_neg = divmod(q_target - zeros_neg, 2)
+            if not (odd_pos or odd_neg) and pairs_pos + pairs_neg <= pairs_avail:
+                return pairs_pos, zeros_pos, pairs_neg, zeros_neg
+    raise InternalCheckError("inertia target allocation infeasible despite hypothesis")
 
 
 def certify_inertially_arbitrary(
@@ -530,9 +536,10 @@ def certify_inertially_arbitrary(
 
     Hypothesis: every eigenvalue of the witness has zero real part, at
     least two are exactly zero, and the witness has the nSSP.  For each
-    target, conjugate pure-imaginary pairs are shifted into the wanted
-    half-plane first (a diagonal shift of their 2x2 Schur blocks), zeros
-    make up the remainder including odd counts.
+    target, as many zero eigenvalues as the target allows are shifted into
+    the wanted half-planes (defective slots first, a diagonal shift of their
+    Schur slots), and conjugate pure-imaginary pairs make up the remainder
+    (a diagonal shift of their 2x2 Schur blocks).
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
@@ -590,11 +597,8 @@ def certify_inertially_arbitrary(
         for q_t in range(n + 1 - p_t):
             target = (p_t, q_t, n - p_t - q_t)
             try:
-                pairs_pos, zeros_pos = _allocate_perturbations(
-                    p_t, len(pair_blocks), len(zero_slots)
-                )
-                pairs_neg, zeros_neg = _allocate_perturbations(
-                    q_t, len(pair_blocks) - pairs_pos, len(zero_slots) - zeros_pos
+                pairs_pos, zeros_pos, pairs_neg, zeros_neg = _allocate_perturbations(
+                    p_t, q_t, len(pair_blocks), len(zero_slots)
                 )
                 # Any positive shift realizes the same inertia, so the shift
                 # shrinks until the target sits inside the reachable

@@ -52,7 +52,7 @@ from .numerics import (
     char_poly,
     fro,
     lstsq_min_norm,
-    rank,
+    rank,  # not called here; bench/spans.py traces bifurcation.rank
     require_square,
     sym_eig,
     symmetrize,
@@ -293,6 +293,13 @@ class PerturbationMap:
             return verify_sap(a, self.graph, tol)
         return verify_nssp(a, tol, pattern=self.check_pattern())
 
+    def verify_base(self, tol: Tolerances) -> StrongPropertyReport:
+        """Report of the property that holds at the base exactly when J(0)
+        is onto; the superpattern map perturbs within the base's pattern."""
+        if self.kind == "nssp_superpattern":
+            return verify_nssp(self.base, tol, pattern=self.pattern)
+        return self.recheck(self.base, tol)
+
 
 def _exp_derivative_factor(k: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Psi(E) = L_exp(K, E) e^-K = int_0^1 e^{sK} E e^{-sK} ds for a skew K,
@@ -424,7 +431,7 @@ class RealizationResult:
 
 
 def _result(
-    pmap: PerturbationMap,
+    required_nonzero,
     a_prime: np.ndarray,
     target_kind: str,
     target,
@@ -444,7 +451,7 @@ def _result(
         residual_trace=tuple(trace),
         pattern_ok=True,
         property_report=report,
-        marginal_entries=tuple(marginal_cells(a_prime, pmap.required_nonzero())),
+        marginal_entries=tuple(marginal_cells(a_prime, required_nonzero)),
     )
 
 
@@ -457,23 +464,32 @@ def solve_to_target(
     m_target,
     tol: Tolerances = DEFAULT_TOL,
     recheck: bool = True,
+    base_report: StrongPropertyReport | None = None,
 ) -> RealizationResult:
     """Solve F(parameters) = M_target by minimum-norm Gauss-Newton.
 
     The derivative at zero must be surjective (else
-    :class:`SurjectivityFailure`); the caller keeps ||M_target - A||
+    :class:`SurjectivityFailure`).  That is the map's strong property at
+    its base, so the verifier decides it: ``base_report`` is the report of
+    that property for ``f.base``, which the caller vouches for; without
+    one, the base is verified here.  The caller keeps ||M_target - A||
     within a trust radius, retrying with a shorter step on
     :class:`NoConvergence` or :class:`PatternViolation`.  On success the
-    realized matrix is pattern-checked and its strong property
-    re-verified.
+    realized matrix is pattern-checked and its strong property re-verified.
     """
     m = as_matrix(m_target, "target matrix")
     if m.shape != f.base.shape:
         raise InputError(
             f"target shape {m.shape} does not match base shape {f.base.shape}"
         )
-    j0 = f.jacobian(f.zero_params())
-    if rank(j0, tol) < f.ambient_dim:
+    base_report = f.verify_base(tol) if base_report is None else base_report
+    prop = "nssp" if f.kind in _NSSP_KINDS else f.kind
+    if base_report.property_name != prop:
+        raise InputError(
+            f"base report is for the {base_report.property_name.upper()}, "
+            f"but a {f.kind} map needs the {prop.upper()}"
+        )
+    if not base_report.holds:
         raise SurjectivityFailure(
             "derivative at zero is not surjective: the base matrix lacks the "
             "strong property matching this map"
@@ -498,9 +514,7 @@ def solve_to_target(
                 best_residual=best,
                 trace=trace,
             )
-        # the first step is taken at zero, where J(0) is already built
-        jac = j0 if it == 0 else f.jacobian(params)
-        step = lstsq_min_norm(jac, residual, tol)
+        step = lstsq_min_norm(f.jacobian(params), residual, tol)
         new_params = params + step
         if f.kind in _NSSP_KINDS:
             l_old = f.second_norm(params)
@@ -531,7 +545,7 @@ def solve_to_target(
                 "too large"
             )
     return _result(
-        f,
+        f.required_nonzero(),
         a_prime,
         "matrix",
         m,
@@ -572,7 +586,7 @@ def realize_spectrum(
     if not base_report.holds:
         raise SurjectivityFailure("base matrix does not have the SSP")
 
-    cur = a
+    cur, report = a, base_report
     trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
     halvings = 0
     total_iters = 0
@@ -586,7 +600,7 @@ def realize_spectrum(
         m = dec.eigenvectors @ np.diag(waypoint) @ dec.eigenvectors.T
         m = (m + m.T) / 2.0
         try:
-            res = solve_to_target(ssp_map(cur, g), m, tol)
+            res = solve_to_target(ssp_map(cur, g), m, tol, base_report=report)
         except (NoConvergence, PatternViolation):
             halvings += 1
             trust /= 2.0
@@ -596,13 +610,13 @@ def realize_spectrum(
                     f"{MAX_TRUST_HALVINGS} trust-radius halvings"
                 ) from None
             continue
-        cur = res.matrix
+        cur, report = res.matrix, res.property_report
         total_iters += res.iterations
         trace.extend(res.residual_trace)
         if final_hop:
             achieved = sym_eig(cur, tol).eigenvalues
             return _result(
-                ssp_map(cur, g),
+                g.edges,
                 cur,
                 "spectrum",
                 tuple(float(v) for v in target),
@@ -610,7 +624,7 @@ def realize_spectrum(
                 total_iters,
                 res.final_residual,
                 trace,
-                res.property_report,
+                report,
             )
     raise NoConvergence("spectrum homotopy did not terminate")
 
@@ -675,7 +689,7 @@ def realize_multiplicity_list(
         )
     if tuple(target) == tuple(m_base):
         return _result(
-            smp_map(a, g, tol), a, "multiplicity_list",
+            g.edges, a, "multiplicity_list",
             tuple(target), tuple(m_base), 0, 0.0, (0.0,), base_report,
         )
 
@@ -688,7 +702,11 @@ def realize_multiplicity_list(
         m = dec.eigenvectors @ np.diag(split) @ dec.eigenvectors.T
         m = (m + m.T) / 2.0
         try:
-            res = solve_to_target(smp_map(w, g, tol), m, tol)
+            # the SMP of the scaled base is the SMP of A, and the realized
+            # matrix is verified once, after scaling back
+            res = solve_to_target(
+                smp_map(w, g, tol), m, tol, recheck=False, base_report=base_report
+            )
         except (NoConvergence, PatternViolation) as exc:
             last_error = exc
             delta /= 2.0
@@ -706,7 +724,7 @@ def realize_multiplicity_list(
                 "realized matrix lost the SMP; the split was too large"
             )
         return _result(
-            smp_map(a_prime, g, tol),
+            g.edges,
             a_prime,
             "multiplicity_list",
             tuple(target),
@@ -767,7 +785,7 @@ def realize_inertia(
         if (p_cur, q_cur) == (p_target, q_target):
             achieved = (p_cur, q_cur)
             return _result(
-                sap_map(cur, g),
+                g.edges,
                 cur,
                 _target_kind,
                 (p_target, q_target) if _target_value is None else _target_value,
@@ -793,7 +811,7 @@ def realize_inertia(
         m = dec.eigenvectors @ np.diag(new_lam) @ dec.eigenvectors.T
         m = (m + m.T) / 2.0
         try:
-            res = solve_to_target(sap_map(cur, g), m, tol)
+            res = solve_to_target(sap_map(cur, g), m, tol, base_report=report)
         except (NoConvergence, PatternViolation):
             halvings += 1
             if halvings > MAX_TRUST_HALVINGS:
@@ -868,9 +886,8 @@ def realize_q(
     for _split in range(g.n):
         q_cur = len(clusters)
         if q_cur >= target_q:
-            final_map = ssp_map(cur, g) if mode == "ssp" else smp_map(cur, g, tol)
             return _result(
-                final_map,
+                g.edges,
                 cur,
                 "q",
                 target_q,
@@ -944,7 +961,7 @@ def realize_similar(
         raise SurjectivityFailure("base matrix does not have the nSSP")
     target_coeffs = char_poly(m_target)
 
-    cur = a
+    cur, report = a, base_report
     trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
     halvings = 0
     total_iters = 0
@@ -955,7 +972,7 @@ def realize_similar(
         final_hop = dist <= trust
         m = m_target if final_hop else cur + (trust / dist) * d
         try:
-            res = solve_to_target(similarity_map(cur, p), m, tol)
+            res = solve_to_target(similarity_map(cur, p), m, tol, base_report=report)
         except (NoConvergence, PatternViolation):
             halvings += 1
             trust /= 2.0
@@ -971,7 +988,7 @@ def realize_similar(
         if final_hop:
             residual = _char_poly_residual(new_cur, target_coeffs)
             return _result(
-                similarity_map(new_cur, p),
+                p.nonzero_cells(),
                 new_cur,
                 "similar",
                 m_target,
@@ -987,7 +1004,7 @@ def realize_similar(
             trust /= 2.0
             if halvings > MAX_TRUST_HALVINGS:
                 raise NoConvergence("similarity homotopy stalled") from None
-        cur = new_cur
+        cur, report = new_cur, res.property_report
     raise NoConvergence("similarity homotopy did not terminate")
 
 
@@ -1019,7 +1036,7 @@ def realize_superpattern(
     ]
     if not new_cells:
         return _result(
-            similarity_map(a, p), a, "superpattern",
+            p.nonzero_cells(), a, "superpattern",
             p_super.to_lines(), 0.0, 0, 0.0, (0.0,), base_report,
         )
     e = np.zeros_like(a)
@@ -1037,14 +1054,16 @@ def realize_superpattern(
     for _attempt in range(MAX_TRUST_HALVINGS + 1):
         m = a + s * e
         try:
-            res = solve_to_target(superpattern_map(a, p, p_super), m, tol)
+            res = solve_to_target(
+                superpattern_map(a, p, p_super), m, tol, base_report=base_report
+            )
         except (NoConvergence, PatternViolation) as exc:
             last_error = exc
             s /= 2.0
             continue
         residual = _char_poly_residual(res.matrix, base_coeffs)
         return _result(
-            similarity_map(res.matrix, p_super),
+            p_super.nonzero_cells(),
             res.matrix,
             "superpattern",
             p_super.to_lines(),

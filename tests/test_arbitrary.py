@@ -4,6 +4,7 @@ from itertools import combinations
 
 from strongprops.arbitrary import (
     ConjInvariantSpectrum,
+    _allocate_perturbations,
     certify_inertially_arbitrary,
     certify_spectrally_arbitrary,
     is_nilpotent,
@@ -12,7 +13,7 @@ from strongprops.arbitrary import (
     nj_jacobian_diagnostic,
     raise_nilpotent_index,
 )
-from strongprops.errors import HypothesisFailure, InputError
+from strongprops.errors import HypothesisFailure, InputError, InternalCheckError
 from strongprops.numerics import char_poly, fro
 from strongprops.patterns import SignPattern, matrix_in_sign_class
 
@@ -224,6 +225,34 @@ class TestInertiallyArbitrary:
         cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
         assert cert.complete
         assert len(cert.evidence) == 15
+
+    def test_allocation_shifts_zeros_before_pairs(self):
+        # (2, 0, 2) from two zeros and one imaginary pair: shifting both
+        # zeros leaves the pair, which stays on the imaginary axis, rather
+        # than a Jordan block at zero whose eigenvalues split by roundoff
+        assert _allocate_perturbations(2, 0, 1, 2) == (0, 2, 0, 0)
+        assert _allocate_perturbations(3, 0, 1, 2) == (1, 1, 0, 0)
+        assert _allocate_perturbations(1, 1, 1, 2) == (0, 1, 0, 1)
+        with pytest.raises(InternalCheckError):
+            _allocate_perturbations(1, 0, 1, 0)
+
+    @pytest.mark.parametrize("pairs,zeros", [(0, 2), (1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_allocation_is_exact_and_maximal(self, pairs, zeros):
+        n = 2 * pairs + zeros
+        for p_t in range(n + 1):
+            for q_t in range(n + 1 - p_t):
+                pp, zp, pq, zq = _allocate_perturbations(p_t, q_t, pairs, zeros)
+                assert (2 * pp + zp, 2 * pq + zq) == (p_t, q_t)
+                assert pp + pq <= pairs and zp + zq <= zeros
+                # brute force: no feasible allocation shifts more zeros
+                best = max(
+                    a + b
+                    for a in range(zeros + 1)
+                    for b in range(zeros + 1 - a)
+                    if a <= p_t and b <= q_t and (p_t - a) % 2 == 0
+                    and (q_t - b) % 2 == 0 and (p_t - a + q_t - b) // 2 <= pairs
+                )
+                assert zp + zq == best
 
     def test_hypothesis_failures(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -1,8 +1,10 @@
+import dataclasses
 import signal
 
 import numpy as np
 import pytest
 
+from strongprops import bifurcation
 from strongprops.bifurcation import (
     derivative_at,
     evaluate_map,
@@ -40,7 +42,7 @@ from strongprops.patterns import (
     ordered_multiplicity_list,
     pin,
 )
-from strongprops.verifiers import verify_ssp
+from strongprops.verifiers import verify_sap, verify_ssp
 
 from conftest import adjacency, random_graph, random_in_graph_class
 
@@ -194,6 +196,20 @@ class TestSolveToTarget:
         # the plain C4 adjacency lacks the SSP
         with pytest.raises(SurjectivityFailure):
             solve_to_target(ssp_map(adjacency(c4), c4), adjacency(c4) * 1.01)
+
+    def test_failing_base_report_raises(self, c4, twisted_c4):
+        a = adjacency(c4)
+        with pytest.raises(SurjectivityFailure):
+            solve_to_target(ssp_map(a, c4), a * 1.01, base_report=verify_ssp(a, c4))
+        # the report decides: a failing one is refused even where J(0) is onto
+        failing = dataclasses.replace(verify_ssp(twisted_c4, c4), holds=False)
+        with pytest.raises(SurjectivityFailure):
+            solve_to_target(ssp_map(twisted_c4, c4), twisted_c4 * 1.01, base_report=failing)
+
+    def test_base_report_for_another_property_is_refused(self, twisted_c4, c4):
+        sap = verify_sap(twisted_c4, c4)
+        with pytest.raises(InputError, match="SAP"):
+            solve_to_target(ssp_map(twisted_c4, c4), twisted_c4 * 1.01, base_report=sap)
 
     def test_no_convergence_reports_best(self, twisted_c4, c4):
         tight = Tolerances(newton_tol=1e-16, max_iter=2)
@@ -457,3 +473,81 @@ class TestRealizeSuperpattern:
         bad = SignPattern.from_rows([[-1, 1], [1, 0]])
         with pytest.raises(NotASuperpattern):
             realize_superpattern(a, p, bad)
+
+
+class TestSurjectivityFromReports:
+    """The verifier decides surjectivity: no solve computes the rank of
+    J(0), and each realizer hands the solve the report of the hop's base."""
+
+    @pytest.fixture(autouse=True)
+    def rank_forbidden(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rank of J(0) computed for a verified base")
+
+        monkeypatch.setattr(bifurcation, "rank", forbidden)
+
+    def test_bare_solve_verifies_its_base(self, monkeypatch, twisted_c4, c4):
+        calls = []
+        verify = bifurcation.verify_ssp
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "verify_ssp", counted)
+        res = solve_to_target(ssp_map(twisted_c4, c4), twisted_c4 * 1.01)
+        # the base, then the realized matrix
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], twisted_c4)
+        assert np.array_equal(calls[1], res.matrix)
+
+    def test_bare_superpattern_solve(self):
+        # J(0) is onto exactly when A has the nSSP for its own pattern
+        a = np.array([[1.0, 1.0], [1.0, 0.0]])
+        p_super = SignPattern.from_rows([[1, 1], [1, -1]])
+        m = a + np.array([[0.0, 0.0], [0.0, -0.05]])
+        res = solve_to_target(superpattern_map(a, SignPattern.from_matrix(a), p_super), m)
+        assert res.property_report.holds and res.matrix[1, 1] < 0
+
+    def test_spectrum_homotopy(self, twisted_c4, c4):
+        res = realize_spectrum(twisted_c4, c4, [-2.0, -0.1, 0.1, 2.0], trust_radius=0.5)
+        assert res.iterations > 0 and res.property_report.holds
+
+    def test_multiplicity_list(self, twisted_c4, c4):
+        res = realize_multiplicity_list(twisted_c4, c4, [1, 1, 2])
+        assert tuple(res.achieved) == (1, 1, 2) and res.property_report.holds
+
+    def test_inertia_and_rank(self):
+        g = Graph.complete(2)
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert pin(realize_inertia(a, g, (1, 1)).matrix) == (1, 1)
+        assert sum(pin(realize_rank(a, g, 2).matrix)) == 2
+
+    def test_q(self, twisted_c4, c4):
+        assert realize_q(twisted_c4, c4, 4).achieved == 4
+
+    def test_similar_homotopy(self, example15, example15_pattern):
+        m = example15 + 0.01 * np.eye(3)
+        res = realize_similar(example15, example15_pattern, m, trust_radius=0.02)
+        assert res.iterations > 0 and res.property_report.holds
+
+    def test_superpattern(self):
+        a = np.array([[1.0, 1.0], [1.0, 0.0]])
+        p_super = SignPattern.from_rows([[1, 1], [1, -1]])
+        res = realize_superpattern(a, SignPattern.from_matrix(a), p_super)
+        assert res.iterations > 0 and res.property_report.holds
+
+
+def test_multiplicity_list_verifies_the_smp_once(monkeypatch, twisted_c4, c4):
+    calls = []
+    verify = bifurcation.verify_smp
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "verify_smp", counted)
+    res = realize_multiplicity_list(twisted_c4, c4, [1, 1, 2])
+    # the base, then the realized matrix at full scale
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], res.matrix)

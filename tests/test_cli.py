@@ -240,6 +240,21 @@ class TestCertifyCommand:
         assert doc["certificate"]["verdict"] == "complete"
         assert len(doc["certificate"]["evidence"]) == 6
 
+    def test_inertially_arbitrary_jordan_block_in_two_schur_slots(self, tmp_path, capsys):
+        # rank 3, so its two zero eigenvalues form a Jordan block, but the
+        # real Schur form holds them in two 1x1 blocks; targets such as
+        # (2, 0, 2) used to leave that block unshifted and fail
+        (tmp_path / "w.mat").write_text("0 1 1 1\n2 0 0 2\n-2 1 -1 -3\n0 -1 1 1\n")
+        (tmp_path / "w.pat").write_text("0+++\n+00+\n-+--\n0-++\n")
+        code, out, _ = run(
+            capsys,
+            ["certify", tmp_path / "w.pat", tmp_path / "w.mat",
+             "--inertially-arbitrary", "--json"],
+        )
+        assert code == 0
+        evidence = json.loads(out)["certificate"]["evidence"]
+        assert len(evidence) == 15 and all(e["ok"] for e in evidence)
+
 
 class TestSweepCommand:
     def test_complete_family_all_hold(self, capsys):

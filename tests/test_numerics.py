@@ -155,6 +155,48 @@ class TestLstsq:
             lstsq_min_norm(np.eye(2), np.ones(3))
 
 
+def _duplicated_rows(rng, n: int, cols: int) -> np.ndarray:
+    """n^2 x cols system whose rows (i, j) and (j, i) coincide, like the
+    symmetric maps' Jacobians: rank n(n+1)/2 when cols allows it."""
+    upper = rng.normal(size=(n * (n + 1) // 2, cols))
+    index = np.zeros((n, n), dtype=int)
+    index[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    index = np.triu(index) + np.triu(index, 1).T
+    return upper[index.reshape(-1)]
+
+
+def _lstsq_corpus():
+    """Seeded systems shaped like the Gauss-Newton steps, with a generic
+    right-hand side (not in the range of A)."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for n in (3, 5, 8, 10):
+        # wide, full row rank: nSSP maps, n^2 x (|nz| + n^2)
+        cases.append((f"wide-n{n}", rng.normal(size=(n * n, n * n + n + 3 * n // 2))))
+        # tall, duplicated rows: ssp/sap maps, rank n(n+1)/2
+        cases.append((f"dup-rows-n{n}", _duplicated_rows(rng, n, n * (n + 1) // 2 + n)))
+        # rank-deficient columns: a repeated column and a product of rank r
+        a = rng.normal(size=(n * n, 2 * n))
+        a[:, -1] = a[:, 0]
+        cases.append((f"dup-col-n{n}", a))
+        r = n + 1
+        cases.append((
+            f"rank{r}-n{n}",
+            rng.normal(size=(n * n, r)) @ rng.normal(size=(r, 3 * n)),
+        ))
+    return [pytest.param(a, rng.normal(size=a.shape[0]), id=name) for name, a in cases]
+
+
+@pytest.mark.parametrize("a,b", _lstsq_corpus())
+def test_lstsq_matches_pseudo_inverse(a, b):
+    x = lstsq_min_norm(a, b)
+    want = np.linalg.pinv(a, rcond=1e-8) @ b
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    # minimum norm: no component along the nullspace of A
+    _, null = nullspace(a)
+    assert np.linalg.norm(null.T @ x) <= 1e-12 * np.linalg.norm(x)
+
+
 class TestCharPoly:
     def test_companion_example(self):
         # x^3 - 2x - 5 via its companion matrix
