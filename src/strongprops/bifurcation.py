@@ -22,12 +22,18 @@ Solving F(parameters) = M for a nearby target M with minimum-norm
 Gauss-Newton steps produces A' = A + B' inside the pattern with the same
 invariant as M, and the strong property persists for small steps; every
 solve re-verifies it rather than assuming.  Far targets are reached by a
-straight-line homotopy that re-bases onto each accepted intermediate
-matrix, keeping all parameters small.
+homotopy that re-bases onto each accepted intermediate matrix, keeping all
+parameters small, and walks in the invariant the map controls: the
+symmetric realizers move eigenvalues along Q diag Q^T, and
+:func:`realize_similar` moves the diagonal blocks of the current real
+Schur form Q T Q^T toward the target's eigenvalues.  Each call builds its
+map once and moves it to every new base with
+:meth:`PerturbationMap.rebased`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -51,8 +57,10 @@ from .numerics import (
     as_matrix,
     char_poly,
     fro,
+    RealSchurForm,
     lstsq_min_norm,
     rank,  # not called here; bench/spans.py traces bifurcation.rank
+    real_schur,
     require_square,
     sym_eig,
     symmetrize,
@@ -292,6 +300,15 @@ class PerturbationMap:
         if self.kind == "sap":
             return verify_sap(a, self.graph, tol)
         return verify_nssp(a, tol, pattern=self.check_pattern())
+
+    def rebased(self, base: np.ndarray) -> PerturbationMap:
+        """The same map at a new base, sharing the pattern and skew/full
+        bases.  No class check: the caller passes a matrix that a solve's
+        :meth:`in_class` has just accepted (a realized matrix, which
+        :meth:`extract` already symmetrized for the symmetric kinds)."""
+        moved = copy.copy(self)
+        moved.base = base
+        return moved
 
     def verify_base(self, tol: Tolerances) -> StrongPropertyReport:
         """Report of the property that holds at the base exactly when J(0)
@@ -567,10 +584,13 @@ def realize_spectrum(
     target,
     tol: Tolerances = DEFAULT_TOL,
     trust_radius: float | None = None,
+    base_report: StrongPropertyReport | None = None,
 ) -> RealizationResult:
     """Matrix in the graph class with the given spectrum, near A.
 
-    Requires the SSP at A.  Builds M = Q diag(target) Q^T from the
+    Requires the SSP at A: ``base_report`` is the caller's SSP report for
+    A (a report for another property is refused); without one, A is
+    verified here.  Builds M = Q diag(target) Q^T from the
     eigendecomposition of the current base and, when the spectral step
     exceeds the trust radius, walks a straight-line homotopy in spectrum
     space, re-basing on each realized intermediate matrix (the property
@@ -582,10 +602,16 @@ def realize_spectrum(
         raise InputError(f"target spectrum must have {g.n} values")
     if not np.all(np.isfinite(target)):
         raise InputError("target spectrum contains non-finite values")
-    base_report = verify_ssp(a, g, tol)
+    if base_report is None:
+        base_report = verify_ssp(a, g, tol)
+    elif base_report.property_name != "ssp":
+        raise InputError(
+            f"base report is for the {base_report.property_name.upper()}, not the SSP"
+        )
     if not base_report.holds:
         raise SurjectivityFailure("base matrix does not have the SSP")
 
+    f = ssp_map(a, g)
     cur, report = a, base_report
     trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
     halvings = 0
@@ -600,7 +626,7 @@ def realize_spectrum(
         m = dec.eigenvectors @ np.diag(waypoint) @ dec.eigenvectors.T
         m = (m + m.T) / 2.0
         try:
-            res = solve_to_target(ssp_map(cur, g), m, tol, base_report=report)
+            res = solve_to_target(f, m, tol, base_report=report)
         except (NoConvergence, PatternViolation):
             halvings += 1
             trust /= 2.0
@@ -611,6 +637,7 @@ def realize_spectrum(
                 ) from None
             continue
         cur, report = res.matrix, res.property_report
+        f = f.rebased(cur)
         total_iters += res.iterations
         trace.extend(res.residual_trace)
         if final_hop:
@@ -657,16 +684,19 @@ def realize_multiplicity_list(
     target,
     tol: Tolerances = DEFAULT_TOL,
     trust_radius: float | None = None,
+    base_report: StrongPropertyReport | None = None,
 ) -> RealizationResult:
     """Matrix in the graph class whose ordered multiplicity list is the
     given refinement of the base matrix's list, realized through the SMP
     map.
 
-    The base is rescaled to unit Frobenius norm for the solve (the
-    correction polynomial uses raw monomials, so conditioning matters)
-    and scaled back afterwards; scaling is an exact similarity-respecting
-    transformation.  The achieved list is post-checked against the target
-    rather than assumed.
+    Requires the SMP at A: ``base_report`` is the caller's SMP report for
+    A (a report for another property is refused); without one, A is
+    verified here.  The base is rescaled to unit Frobenius norm for the
+    solve (the correction polynomial uses raw monomials, so conditioning
+    matters) and scaled back afterwards; scaling is an exact
+    similarity-respecting transformation.  The achieved list is
+    post-checked against the target rather than assumed.
     """
     a = symmetrize(a)
     if a.shape[0] != g.n:
@@ -674,7 +704,12 @@ def realize_multiplicity_list(
     target = OrderedMultiplicityList(entries=tuple(int(m) for m in target))
     if target.total != g.n:
         raise InputError(f"multiplicity list must sum to {g.n}")
-    base_report = verify_smp(a, g, tol)
+    if base_report is None:
+        base_report = verify_smp(a, g, tol)
+    elif base_report.property_name != "smp":
+        raise InputError(
+            f"base report is for the {base_report.property_name.upper()}, not the SMP"
+        )
     if not base_report.holds:
         raise SurjectivityFailure("base matrix does not have the SMP")
 
@@ -696,6 +731,7 @@ def realize_multiplicity_list(
     trust = default_trust_radius(w) if trust_radius is None else float(trust_radius)
     delta = min(0.25 * _min_cluster_gap(clusters), trust)
     dec = sym_eig(w, tol)
+    f = smp_map(w, g, tol)
     last_error: Exception | None = None
     for _attempt in range(MAX_TRUST_HALVINGS + 1):
         split = _split_values(clusters, blocks, delta)
@@ -704,9 +740,7 @@ def realize_multiplicity_list(
         try:
             # the SMP of the scaled base is the SMP of A, and the realized
             # matrix is verified once, after scaling back
-            res = solve_to_target(
-                smp_map(w, g, tol), m, tol, recheck=False, base_report=base_report
-            )
+            res = solve_to_target(f, m, tol, recheck=False, base_report=base_report)
         except (NoConvergence, PatternViolation) as exc:
             last_error = exc
             delta /= 2.0
@@ -774,6 +808,7 @@ def realize_inertia(
             f"the base partial inertia ({p0}, {q0})"
         )
 
+    f = sap_map(a, g)
     cur = a
     report = base_report
     total_iters = 0
@@ -811,7 +846,7 @@ def realize_inertia(
         m = dec.eigenvectors @ np.diag(new_lam) @ dec.eigenvectors.T
         m = (m + m.T) / 2.0
         try:
-            res = solve_to_target(sap_map(cur, g), m, tol, base_report=report)
+            res = solve_to_target(f, m, tol, base_report=report)
         except (NoConvergence, PatternViolation):
             halvings += 1
             if halvings > MAX_TRUST_HALVINGS:
@@ -820,6 +855,7 @@ def realize_inertia(
                 ) from None
             continue
         cur = res.matrix
+        f = f.rebased(cur)
         report = res.property_report
         total_iters += res.iterations
         final_residual = res.final_residual
@@ -906,7 +942,9 @@ def realize_q(
                     new_list.extend([1, mult - 1])
                 else:
                     new_list.append(mult)
-            res = realize_multiplicity_list(cur, g, new_list, tol, trust_radius)
+            res = realize_multiplicity_list(
+                cur, g, new_list, tol, trust_radius, base_report=report
+            )
         else:
             trust = default_trust_radius(cur) if trust_radius is None else float(trust_radius)
             delta = min(0.25 * _min_cluster_gap(clusters), trust)
@@ -917,7 +955,7 @@ def realize_q(
                     values.extend([center + delta / 2.0] * (mult - 1))
                 else:
                     values.extend([center] * mult)
-            res = realize_spectrum(cur, g, values, tol, trust_radius)
+            res = realize_spectrum(cur, g, values, tol, trust_radius, base_report=report)
         cur = res.matrix
         report = res.property_report
         total_iters += res.iterations
@@ -937,6 +975,206 @@ def _char_poly_residual(a: np.ndarray, reference_coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(char_poly(a) - reference_coeffs)))
 
 
+# ---------------------------------------------------------------------------
+# Spectral waypoints for realize_similar
+
+
+def _slot_coords(mean: float, disc: float) -> np.ndarray:
+    """Walk coordinates (mean, root) of a 2x2 slot whose eigenvalues are
+    mean +- sqrt(disc): root = sqrt(disc) for a real pair and
+    -sqrt(-disc) for a conjugate pair.  A straight line in (mean, root)
+    moves the eigenvalues linearly, and one that changes the sign of root
+    turns a real pair into a conjugate pair (or back) through a double
+    eigenvalue."""
+    return np.array([mean, math.copysign(math.sqrt(abs(disc)), disc)])
+
+
+def _block_with(block: np.ndarray, mean: float, disc: float) -> np.ndarray:
+    """``block`` changed as little as possible, among two one-parameter
+    updates, to have eigenvalues mean +- sqrt(disc).
+
+    Write the 2x2 block as m I + [[h, u + v], [u - v, -h]], so that its
+    discriminant is h^2 + u^2 - v^2.  Either (h, u) is rescaled to radius
+    sqrt(disc + v^2), keeping v, or |v| is set to sqrt(h^2 + u^2 - disc),
+    keeping (h, u); the shorter feasible move is taken (one always is).
+    That move is no longer than the move of the root in
+    :func:`_slot_coords`, so the block moves in Frobenius norm by no more
+    than its walk coordinates do.
+    """
+    h = (block[0, 0] - block[1, 1]) / 2.0
+    u = (block[0, 1] + block[1, 0]) / 2.0
+    v = (block[0, 1] - block[1, 0]) / 2.0
+    r = math.hypot(h, u)
+    moves = []
+    if disc + v * v >= 0.0:
+        r_new = math.sqrt(disc + v * v)
+        moves.append((abs(r_new - r), r_new, v))
+    if r * r - disc >= 0.0:
+        v_new = math.copysign(math.sqrt(r * r - disc), v)
+        moves.append((abs(v_new - v), r, v_new))
+    _, r_new, v_new = min(moves)
+    h, u = (h * r_new / r, u * r_new / r) if r > 0.0 else (r_new, 0.0)
+    return np.array([[mean + h, u + v_new], [u - v_new, mean - h]])
+
+
+@dataclass(frozen=True, eq=False)
+class _SpectralWalk:
+    """Straight line from the spectrum of Q T Q^T toward a target spectrum.
+
+    ``slots`` holds (start, size, here, there) for each diagonal slot of T:
+    a 1x1 slot walks its real eigenvalue (coordinates (value, 0)), a 2x2
+    slot its (mean, root) from :func:`_slot_coords`.  ``distance`` is the
+    length of the whole move, sqrt(sum size * |there - here|^2); it is the
+    eigenvalue-matching distance, except on a slot that crosses the real
+    axis, where it is an upper bound.
+    """
+
+    schur: RealSchurForm
+    slots: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    distance: float
+
+    def waypoint(self, trust: float) -> np.ndarray:
+        """Q T' Q^T, with T' the Schur form moved along the walk by at most
+        ``trust``, so that ||Q T' Q^T - Q T Q^T||_F <= trust.  When the
+        target lies within ``trust``, T' has exactly the target spectrum."""
+        s = 1.0 if self.distance <= trust else trust / self.distance
+        t = self.schur.quasi_triangular.copy()
+        for start, size, here, there in self.slots:
+            mean, root = there if s == 1.0 else here + s * (there - here)
+            if size == 1:
+                t[start, start] = mean
+            else:
+                cells = slice(start, start + 2)
+                t[cells, cells] = _block_with(t[cells, cells], mean, root * abs(root))
+        q = self.schur.orthogonal
+        return q @ t @ q.T
+
+
+def _target_spectrum(schur: RealSchurForm) -> tuple[list[float], list[tuple[float, float]]]:
+    """Ascending real eigenvalues and (mean, disc) of each 2x2 block."""
+    t = schur.quasi_triangular
+    blocks = schur.diagonal_blocks()
+    reals = sorted(float(t[i, i]) for i, size in blocks if size == 1)
+    return reals, [schur.block_mean_disc(i) for i, size in blocks if size == 2]
+
+
+def _upper(mean: float, disc: float) -> complex:
+    return complex(mean, math.sqrt(max(-disc, 0.0)))
+
+
+def _nearest_window(mean: float, disc: float, values: list[float]) -> tuple[float, int]:
+    """Cheapest index k at which the eigenvalues mean +- sqrt(disc) can take
+    the adjacent values[k], values[k + 1] of an ascending list (the two
+    values nearest a point are adjacent), and its squared matching cost."""
+    costs = [
+        (values[k] - mean) ** 2 + (values[k + 1] - mean) ** 2 - 2.0 * min(disc, 0.0)
+        for k in range(len(values) - 1)
+    ]
+    k = int(np.argmin(costs))
+    return costs[k], k
+
+
+def _spectral_walk(
+    schur: RealSchurForm,
+    target_reals: list[float],
+    target_pairs: list[tuple[float, float]],
+) -> _SpectralWalk:
+    """Match the diagonal blocks of a real Schur form to a target spectrum
+    and return the walk between them.
+
+    Conjugate pairs meet conjugate pairs greedily, nearest first, unless
+    sending both to the two nearest free real eigenvalues on the other
+    side is cheaper; a pair left over on either side is sent that way.  A
+    pair and the two real eigenvalues it meets share a 2x2 slot: when they
+    are 1x1 blocks of T, LAPACK's xTREXC first moves them next to each
+    other (Q and T change together, Q T Q^T does not).  The remaining real
+    eigenvalues are matched in ascending order, which is optimal on a line.
+    """
+    t, q = schur.quasi_triangular, schur.orthogonal
+    blocks = schur.diagonal_blocks()
+    real_starts = sorted((i for i, size in blocks if size == 1), key=lambda i: t[i, i])
+    pair_starts = [i for i, size in blocks if size == 2]
+    pairs = [schur.block_mean_disc(i) for i in pair_starts]
+    reals = list(target_reals)
+    # (blocks of T by their start before any reordering, target coordinates)
+    matches: list[tuple[tuple[int, ...], np.ndarray]] = []
+
+    def pair_to_reals(i: int) -> None:
+        _, k = _nearest_window(*pairs[i], reals)
+        lo, hi = reals.pop(k), reals.pop(k)
+        matches.append(((pair_starts[i],), _slot_coords((lo + hi) / 2.0, ((hi - lo) / 2.0) ** 2)))
+
+    def reals_to_pair(j: int) -> None:
+        _, k = _nearest_window(*target_pairs[j], [t[i, i] for i in real_starts])
+        matches.append(((real_starts.pop(k), real_starts.pop(k)), _slot_coords(*target_pairs[j])))
+
+    free_pairs, free_targets = set(range(len(pairs))), set(range(len(target_pairs)))
+    candidates = sorted(
+        (abs(_upper(*pairs[i]) - _upper(*target_pairs[j])), i, j)
+        for i in free_pairs
+        for j in free_targets
+    )
+    for gap, i, j in candidates:
+        if i not in free_pairs or j not in free_targets:
+            continue
+        free_pairs.remove(i)
+        free_targets.remove(j)
+        if (
+            min(len(reals), len(real_starts)) >= 2
+            and _nearest_window(*pairs[i], reals)[0]
+            + _nearest_window(*target_pairs[j], [t[k, k] for k in real_starts])[0]
+            < 2.0 * gap**2
+        ):
+            pair_to_reals(i)
+            reals_to_pair(j)
+        else:
+            matches.append(((pair_starts[i],), _slot_coords(*target_pairs[j])))
+    # at most one side has pairs left, and the other side the reals for them
+    for i in sorted(free_pairs):
+        pair_to_reals(i)
+    for j in sorted(free_targets):
+        reals_to_pair(j)
+    matches.extend(((i,), np.array([x, 0.0])) for i, x in zip(real_starts, reals))
+
+    # bring the real eigenvalues that share a slot next to each other
+    order = [i for i, _ in blocks]
+    size_of = dict(blocks)
+
+    def row(key: int) -> int:
+        return sum(size_of[k] for k in order[: order.index(key)])
+
+    for keys, _ in matches:
+        if len(keys) == 2:
+            first, later = sorted(keys, key=order.index)
+            t, q, info = scipy.linalg.lapack.dtrexc(t, q, row(later) + 1, row(first) + 2)
+            order.remove(later)
+            order.insert(order.index(first) + 1, later)
+            if info != 0:
+                raise NoConvergence("reordering the real Schur form failed")
+    moved = RealSchurForm(orthogonal=q, quasi_triangular=t)
+    if moved.diagonal_blocks() != [(row(k), size_of[k]) for k in order]:
+        raise NoConvergence("reordering the real Schur form split a 2x2 block")
+
+    slots = []
+    for keys, there in matches:
+        start = min(row(k) for k in keys)
+        if len(keys) == 1 and size_of[keys[0]] == 1:
+            slots.append((start, 1, np.array([t[start, start], 0.0]), there))
+        else:
+            slots.append((start, 2, _slot_coords(*moved.block_mean_disc(start)), there))
+    distance = math.sqrt(sum(size * float(np.sum((b - a) ** 2)) for _, size, a, b in slots))
+    return _SpectralWalk(schur=moved, slots=tuple(slots), distance=distance)
+
+
+def _has_close_eigenvalues(schur: RealSchurForm, tol: Tolerances) -> bool:
+    """Whether two eigenvalues lie within cluster_tol * max(1, spread)."""
+    eigs = schur.eigenvalues()
+    gaps = np.abs(eigs[:, None] - eigs[None, :])
+    threshold = tol.cluster_tol * max(1.0, float(gaps.max(initial=0.0)))
+    np.fill_diagonal(gaps, np.inf)
+    return bool(np.any(gaps <= threshold))
+
+
 def realize_similar(
     a,
     p: SignPattern,
@@ -946,11 +1184,20 @@ def realize_similar(
 ) -> RealizationResult:
     """Matrix in the sign class similar to ``m_target``, near A.
 
-    Requires the nSSP at A.  Distant targets are approached by a
-    straight-line homotopy in matrix space with re-basing; only the final
-    hop lands on the target's similarity class.  Agreement is checked on
-    characteristic polynomials (similarity invariants), recorded as the
-    achieved residual.
+    Requires the nSSP at A.  A target within the trust radius of the
+    current matrix is solved for in one hop.  Farther targets are reached
+    through the spectrum, which is what the map controls: each hop takes
+    the real Schur form Q T Q^T of the current matrix, moves T's diagonal
+    blocks toward the matched target eigenvalues by at most the trust
+    radius (see :func:`_spectral_walk`) and solves for Q T' Q^T, re-basing
+    on each realized matrix; the eigenvalue distance must shrink by a
+    tenth of the trust radius per hop, or the radius halves.  The walk
+    ends with the hop that reaches the target spectrum, which fixes the
+    similarity class when the target's eigenvalues are distinct; a far
+    target with two eigenvalues within the clustering threshold raises
+    :class:`NoConvergence`, because a matched spectrum would not prove
+    similarity.  Agreement is checked on characteristic polynomials
+    (similarity invariants), recorded as the achieved residual.
     """
     a = as_matrix(a)
     m_target = as_matrix(m_target, "target matrix")
@@ -961,18 +1208,33 @@ def realize_similar(
         raise SurjectivityFailure("base matrix does not have the nSSP")
     target_coeffs = char_poly(m_target)
 
+    f = similarity_map(a, p)
     cur, report = a, base_report
+    target = walk = None  # computed when a hop first falls short of m_target
     trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
     halvings = 0
     total_iters = 0
     trace: list[float] = []
     for _hop in range(MAX_HOMOTOPY_HOPS):
-        d = m_target - cur
-        dist = fro(d)
-        final_hop = dist <= trust
-        m = m_target if final_hop else cur + (trust / dist) * d
+        final_hop = fro(m_target - cur) <= trust
+        if final_hop:
+            m = m_target
+        else:
+            if target is None:
+                target_schur = real_schur(m_target)
+                if _has_close_eigenvalues(target_schur, tol):
+                    raise NoConvergence(
+                        "target is farther than the trust radius and has a "
+                        "repeated eigenvalue: the spectral walk would end on "
+                        "its spectrum, which does not fix its similarity class"
+                    )
+                target = _target_spectrum(target_schur)
+            if walk is None:
+                walk = _spectral_walk(real_schur(cur), *target)
+            final_hop = walk.distance <= trust
+            m = walk.waypoint(trust)
         try:
-            res = solve_to_target(similarity_map(cur, p), m, tol, base_report=report)
+            res = solve_to_target(f, m, tol, base_report=report)
         except (NoConvergence, PatternViolation):
             halvings += 1
             trust /= 2.0
@@ -998,13 +1260,15 @@ def realize_similar(
                 trace,
                 res.property_report,
             )
-        # progress guard: each accepted hop must shorten the remaining path
-        if fro(m_target - new_cur) > dist - 0.1 * trust:
+        # progress guard: each accepted hop must shorten the spectral path
+        new_walk = _spectral_walk(real_schur(new_cur), *target)
+        if new_walk.distance > walk.distance - 0.1 * trust:
             halvings += 1
             trust /= 2.0
             if halvings > MAX_TRUST_HALVINGS:
                 raise NoConvergence("similarity homotopy stalled") from None
-        cur, report = new_cur, res.property_report
+        cur, report, walk = new_cur, res.property_report, new_walk
+        f = f.rebased(cur)
     raise NoConvergence("similarity homotopy did not terminate")
 
 
@@ -1050,13 +1314,12 @@ def realize_superpattern(
     )
     if s <= 0.0:
         raise InputError("step size must be positive")
+    f = superpattern_map(a, p, p_super)
     last_error: Exception | None = None
     for _attempt in range(MAX_TRUST_HALVINGS + 1):
         m = a + s * e
         try:
-            res = solve_to_target(
-                superpattern_map(a, p, p_super), m, tol, base_report=base_report
-            )
+            res = solve_to_target(f, m, tol, base_report=base_report)
         except (NoConvergence, PatternViolation) as exc:
             last_error = exc
             s /= 2.0

@@ -656,6 +656,9 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except np.linalg.LinAlgError as exc:
+        print(f"internal error: a linear-algebra routine failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except StrongPropsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

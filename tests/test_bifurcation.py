@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import signal
 
 import numpy as np
@@ -31,7 +32,15 @@ from strongprops.errors import (
     TargetError,
     UnreachableInertia,
 )
-from strongprops.numerics import DEFAULT_TOL, Tolerances, char_poly, fro, rank, sym_eig
+from strongprops.numerics import (
+    DEFAULT_TOL,
+    RealSchurForm,
+    Tolerances,
+    char_poly,
+    fro,
+    rank,
+    sym_eig,
+)
 from strongprops.patterns import (
     Graph,
     SignPattern,
@@ -42,7 +51,7 @@ from strongprops.patterns import (
     ordered_multiplicity_list,
     pin,
 )
-from strongprops.verifiers import verify_sap, verify_ssp
+from strongprops.verifiers import verify_nssp, verify_sap, verify_ssp
 
 from conftest import adjacency, random_graph, random_in_graph_class
 
@@ -210,6 +219,25 @@ class TestSolveToTarget:
         sap = verify_sap(twisted_c4, c4)
         with pytest.raises(InputError, match="SAP"):
             solve_to_target(ssp_map(twisted_c4, c4), twisted_c4 * 1.01, base_report=sap)
+        with pytest.raises(InputError, match="SAP"):
+            realize_spectrum(twisted_c4, c4, [-2.0, -0.1, 0.1, 2.0], base_report=sap)
+        with pytest.raises(InputError, match="SAP"):
+            realize_multiplicity_list(twisted_c4, c4, [1, 1, 2], base_report=sap)
+
+    def test_rebased_map_shares_bases_and_skips_the_class_check(
+        self, monkeypatch, twisted_c4, c4
+    ):
+        f = ssp_map(twisted_c4, c4)
+        res = solve_to_target(f, twisted_c4 * 1.01)
+        with monkeypatch.context() as patch:
+            patch.setattr(bifurcation, "matrix_in_graph_class", None)
+            moved = f.rebased(res.matrix)
+        built = ssp_map(res.matrix, c4)
+        assert moved._b_basis is f._b_basis and moved._second_basis is f._second_basis
+        assert np.array_equal(moved.base, built.base)
+        params = 0.01 * np.arange(moved.param_dim)
+        assert np.array_equal(moved.jacobian(params), built.jacobian(params))
+        assert np.array_equal(f.base, twisted_c4)
 
     def test_no_convergence_reports_best(self, twisted_c4, c4):
         tight = Tolerances(newton_tol=1e-16, max_iter=2)
@@ -442,6 +470,129 @@ class TestRealizeSimilar:
         with pytest.raises(SurjectivityFailure):
             realize_similar(j2, SignPattern.from_matrix(j2), j2 + 0.01 * np.eye(2))
 
+    def test_far_targets_walk_through_the_spectrum(self, monkeypatch):
+        def timed_out(signum, frame):
+            raise TimeoutError("far targets not realized within 20 s")
+
+        hops = []
+        solve = bifurcation.solve_to_target
+
+        def counted(*args, **kwargs):
+            hops.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "solve_to_target", counted)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(20)
+        changes = set()
+        try:
+            for a, p, m in _far_similar_targets():
+                hops.clear()
+                res = realize_similar(a, p, m, trust_radius=0.2)
+                assert len(hops) >= 2  # none is reached in one hop
+                assert matrix_in_sign_class(res.matrix, p)
+                assert res.property_report.holds
+                assert verify_nssp(res.matrix, pattern=p).holds
+                assert np.max(np.abs(char_poly(res.matrix) - char_poly(m))) <= 1e-8
+                changes.add(np.sign(_real_count(m) - _real_count(a)))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        # reals became conjugate pairs, and conjugate pairs reals
+        assert changes == {-1, 0, 1}
+
+    def test_far_target_with_repeated_eigenvalue_raises(self, monkeypatch, example15, example15_pattern):
+        # a matched spectrum would not fix the similarity class of
+        # diag(1, 1, -2), so no hop is tried
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved toward a derogatory spectrum")
+
+        monkeypatch.setattr(bifurcation, "solve_to_target", no_solve)
+        s = np.eye(3) + 0.1 * np.arange(9.0).reshape(3, 3) / 8.0
+        m = s @ np.diag([1.0, 1.0, -2.0]) @ np.linalg.inv(s)
+        with pytest.raises(NoConvergence, match="repeated eigenvalue"):
+            realize_similar(example15, example15_pattern, m)
+
+
+def _real_count(m) -> int:
+    return int(np.sum(np.abs(np.linalg.eigvals(m).imag) < 1e-9))
+
+
+def _far_similar_targets():
+    """Ten seeded targets S B S^-1 at n = 4-6, five trust radii of 0.2 from
+    a base A with the nSSP: B is in A's sign class at distance 1 from it
+    and S = I + 0.1 G.  Their spectra differ from A's; some have more real
+    eigenvalues than A, some fewer."""
+    rng = np.random.default_rng(4)
+    cases = []
+    for k in range(10):
+        n = 4 + k % 3
+        while True:
+            a = rng.choice([-1.0, 1.0], size=(n, n)) * (0.5 + rng.random((n, n)))
+            a[rng.random((n, n)) < 0.4] = 0.0
+            p = SignPattern.from_matrix(a)
+            if verify_nssp(a, pattern=p).holds:
+                break
+        while True:
+            e = rng.normal(size=(n, n)) * (a != 0)
+            b = a + e / np.linalg.norm(e)
+            if matrix_in_sign_class(b, p):
+                break
+        s = np.eye(n) + 0.1 * rng.normal(size=(n, n))
+        cases.append((a, p, s @ b @ np.linalg.inv(s)))
+    return cases
+
+
+def _sorted_spectrum(values) -> np.ndarray:
+    values = np.asarray(values, dtype=complex)
+    return values[np.lexsort((values.imag, np.round(values.real, 8)))]
+
+
+def test_spectral_waypoint_interpolates_eigenvalues():
+    # T in real Schur form: 3.0 | 2 +- i | 3.1 | 1.0 | -1 +- 0.5i, with
+    # coupling above the diagonal blocks; the reals 3.0 and 3.1 are apart
+    rng = np.random.default_rng(0)
+    t = np.triu(0.3 * rng.normal(size=(7, 7)), 1)
+    t[np.diag_indices(7)] = (3.0, 2.0, 2.0, 3.1, 1.0, -1.0, -1.0)
+    t[1, 2], t[2, 1] = 1.0, -1.0
+    t[5, 6], t[6, 5] = 0.5, -0.5
+    q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+    cur = q @ t @ q.T
+    # the pair -1 +- 0.5i meets the reals -1.2, -0.9, and the reals 3.0,
+    # 3.1 the pair 3.05 +- 0.2i: both slots cross the real axis
+    walk = bifurcation._spectral_walk(
+        RealSchurForm(orthogonal=q, quasi_triangular=t),
+        [-1.2, -0.9, 1.3],
+        [(2.2, -0.64), (3.05, -0.04)],
+    )
+    assert fro(walk.schur.reconstruct() - cur) <= 1e-12
+    # xTREXC brought the reals 3.0 and 3.1 next to each other
+    diag = list(np.diag(walk.schur.quasi_triangular))
+    assert abs(diag.index(3.0) - diag.index(3.1)) == 1
+    # 1 -> 1.3; (2, -1) -> (2.2, -0.8); (3.05, 0.05) -> (3.05, -0.2);
+    # (-1, -0.5) -> (-1.05, 0.15), in (mean, root) with weight 2
+    assert walk.distance == pytest.approx(math.sqrt(1.225), rel=1e-12)
+
+    def expected(frac):
+        out = [1.0 + 0.3 * frac]
+        for mean, root in ((2.0 + 0.2 * frac, -1.0 + 0.2 * frac),
+                           (3.05, 0.05 - 0.25 * frac),
+                           (-1.0 - 0.05 * frac, -0.5 + 0.65 * frac)):
+            offset = root if root >= 0 else 1j * root
+            out += [mean + offset, mean - offset]
+        return _sorted_spectrum(out)
+
+    for frac in (0.3, 0.7, 1.0, 2.0):
+        trust = frac * walk.distance
+        w = walk.waypoint(trust)
+        assert fro(w - cur) <= min(trust, walk.distance) + 1e-12
+        eigs = _sorted_spectrum(np.linalg.eigvals(w))
+        assert np.max(np.abs(eigs - expected(min(frac, 1.0)))) <= 1e-8
+    # at 0.3 the reals 3.0, 3.1 have become a conjugate pair, at 1.0 the
+    # pair -1 +- 0.5i two reals
+    assert _real_count(walk.waypoint(0.3 * walk.distance)) == 1
+    assert _real_count(walk.waypoint(walk.distance)) == 3
+
 
 class TestRealizeSuperpattern:
     def test_pattern_is_its_own_superpattern(self, example15, example15_pattern):
@@ -536,6 +687,21 @@ class TestSurjectivityFromReports:
         p_super = SignPattern.from_rows([[1, 1], [1, -1]])
         res = realize_superpattern(a, SignPattern.from_matrix(a), p_super)
         assert res.iterations > 0 and res.property_report.holds
+
+
+def test_q_verifies_each_split_base_once(monkeypatch, twisted_c4, c4):
+    calls = []
+    verify = bifurcation.verify_ssp
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "verify_ssp", counted)
+    res = realize_q(twisted_c4, c4, 4)
+    # the base, then each of the two splits' realized matrix
+    assert len(calls) == 3
+    assert np.array_equal(calls[-1], res.matrix)
 
 
 def test_multiplicity_list_verifies_the_smp_once(monkeypatch, twisted_c4, c4):

@@ -84,6 +84,20 @@ class TestVerifyCommand:
         assert code == 8
         assert "internal check failed" in err and "disagrees" in err
 
+    def test_linalg_error_exit_eight(self, workdir, capsys, monkeypatch):
+        def failing(a, tol):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("strongprops.verifiers.svd_nullspace", failing)
+        code, _, err = run(
+            capsys,
+            ["verify", workdir / "c4twist.mat", "--property", "ssp", "--graph", workdir / "c4.graph"],
+        )
+        assert code == 8
+        assert err.splitlines() == [
+            "internal error: a linear-algebra routine failed: SVD did not converge"
+        ]
+
     def test_malformed_matrix_exit_two(self, workdir, capsys):
         code, _, err = run(
             capsys,

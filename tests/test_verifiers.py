@@ -290,3 +290,13 @@ def test_verdicts_invariant_under_permutation_and_scaling(instance):
     base = verify_nssp(square)
     moved = verify_nssp(scale * (p @ square @ p.T))
     assert (moved.holds, moved.nullspace_dim) == (base.holds, base.nullspace_dim)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_integer_instances())
+def test_nssp_verdict_invariant_under_transpose(instance):
+    # X solves the nSSP system of A exactly when X^T solves that of A^T
+    _, square, _, scale = instance
+    base = verify_nssp(scale * square)
+    moved = verify_nssp(scale * square.T)
+    assert (moved.holds, moved.nullspace_dim) == (base.holds, base.nullspace_dim)
