@@ -69,8 +69,9 @@ NILPOTENT_NORM_RTOL = 1e-8
 CHAR_POLY_RESIDUAL_TOL = 1e-7
 #: Newton tolerances tried for certification solves, tightest first: the
 #: scale-back by k amplifies coefficient errors by k^n, so the downscaled
-#: solve must land well below the reporting tolerance.
-_CERT_NEWTON_LADDER = (1e-13, 1e-12)
+#: solve must land well below the reporting tolerance.  A solve stops at
+#: its first residual under the rung, so the rung bounds that error.
+_CERT_NEWTON_LADDER = (1e-14, 1e-13, 1e-12)
 MAX_INDEX_ATTEMPTS = 20
 #: Per-target retries of the inertia certificate, shrinking the real-part
 #: shift by 4 each time (0.07 / 4^7 still clears the eigenvalue-zero
@@ -343,11 +344,13 @@ def _tight_tolerances(tol: Tolerances, newton_tol: float) -> Tolerances:
     )
 
 
-def _realize_with_ladder(a, p, m, tol: Tolerances):
+def _realize_with_ladder(a, p, m, tol: Tolerances, report: StrongPropertyReport):
     last: Exception | None = None
     for newton_tol in (*_CERT_NEWTON_LADDER, tol.newton_tol):
         try:
-            return realize_similar(a, p, m, _tight_tolerances(tol, newton_tol))
+            return realize_similar(
+                a, p, m, _tight_tolerances(tol, newton_tol), base_report=report
+            )
         except NoConvergence as exc:
             last = exc
     raise last
@@ -390,7 +393,7 @@ def certify_spectrally_arbitrary(
             for _attempt in range(_CERT_SCALE_ATTEMPTS):
                 m = nilpotent_nearby(a, target.scaled(1.0 / k), tol=tol)
                 try:
-                    res = _realize_with_ladder(a, p, m, tol)
+                    res = _realize_with_ladder(a, p, m, tol, report)
                     break
                 except (NoConvergence, PatternViolation) as exc:
                     last_exc = exc
@@ -491,7 +494,7 @@ def raise_nilpotent_index(
                 t_new[i, i + 1] = d
         m = schur.orthogonal @ t_new @ schur.orthogonal.T
         try:
-            res = realize_similar(a, p, m, tol)
+            res = realize_similar(a, p, m, tol, base_report=report)
         except (NoConvergence, PatternViolation):
             d /= 2.0
             continue
@@ -622,7 +625,7 @@ def certify_inertially_arbitrary(
                         @ schur.orthogonal.T
                     )
                     try:
-                        res = realize_similar(a, p, m, tol)
+                        res = realize_similar(a, p, m, tol, base_report=report)
                         break
                     except (NoConvergence, PatternViolation) as exc:
                         last_exc = exc

@@ -17,14 +17,24 @@ nssp_superpattern   (I + L)^-1 A (I + L) + B               similarity class
 with B ranging over the closed pattern class, K over skew-symmetric
 matrices, L over square matrices with ||L|| < 0.5, and
 p(x) = x + sum c_k x^k a degree-(q-1) correction polynomial.
+:class:`PerturbationMap` keeps these maps and their Jacobians as the
+specification.
 
-Solving F(parameters) = M for a nearby target M with minimum-norm
-Gauss-Newton steps produces A' = A + B' inside the pattern with the same
-invariant as M, and the strong property persists for small steps; every
-solve re-verifies it rather than assuming.  Far targets are reached by a
-homotopy that re-bases onto each accepted intermediate matrix, keeping all
-parameters small, and walks in the invariant the map controls: the
-symmetric realizers move eigenvalues along Q diag Q^T, and
+Solving F(parameters) = M for a nearby target M produces A' = A + B'
+inside the pattern with the same invariant as M.  The solver works in a
+local chart of the group that acts on M (:class:`LocalChart`): it keeps a
+group element G and N = G.M, the matrix similar or congruent to M that
+A + B must equal, and clears the entries of N on the cells that B cannot
+reach (the non-edges of the graph, the zero cells of the pattern) by
+minimum-norm Gauss-Newton steps in the Lie algebra; the first step of
+each solve is minimum-norm jointly with B, as the map's own step would
+be.  Each step matrix is the verifier's eliminated dual block at N, so it
+has full row rank at the base exactly when the property holds.  The
+strong property persists for small steps; every solve re-verifies it
+rather than assuming.  Far targets are reached by a homotopy that
+re-bases onto each accepted intermediate matrix, keeping every solve
+short, and walks in the invariant the map controls: the symmetric
+realizers move eigenvalues along Q diag Q^T, and
 :func:`realize_similar` moves the diagonal blocks of the current real
 Schur form Q T Q^T toward the target's eigenvalues.  Each call builds its
 map once and moves it to every new base with
@@ -84,7 +94,11 @@ from .patterns import (
     full_basis,
 )
 from .verifiers import (
+    SQRT2,
     StrongPropertyReport,
+    _commutator_block,
+    _left_block,
+    _non_edges,
     verify_nssp,
     verify_sap,
     verify_smp,
@@ -93,8 +107,9 @@ from .verifiers import (
 
 MAX_TRUST_HALVINGS = 20
 MAX_HOMOTOPY_HOPS = 500
-#: Gauss-Newton steps keep ||L|| at or below this, safely inside the
-#: ||L|| < 0.5 region where I + L stays invertible.
+#: Every Gauss-Newton step keeps its Lie-algebra part (K' or L') at or
+#: below this Frobenius norm, safely inside the ||L|| < 0.5 region where
+#: I + L stays invertible.
 L_NORM_CAP = 0.45
 
 _SYMMETRIC_KINDS = ("ssp", "smp", "sap")
@@ -172,9 +187,6 @@ class PerturbationMap:
 
     def second_matrix(self, params) -> np.ndarray:
         return self._combine(self._second_basis, self._unpack(params)[1])
-
-    def second_norm(self, params) -> float:
-        return float(np.linalg.norm(self._unpack(params)[1]))
 
     # -- evaluation ------------------------------------------------------
 
@@ -267,17 +279,7 @@ class PerturbationMap:
             blocks = [b_cols, -s_inv @ s_dirs @ f0 + s_inv @ m @ s_dirs]
         return np.concatenate(blocks).reshape(-1, self.n * self.n).T
 
-    # -- class checks and extraction --------------------------------------
-
-    def extract(self, params, m_target: np.ndarray) -> np.ndarray:
-        """Realized matrix A' for converged parameters."""
-        bm = self.b_matrix(params)
-        if self.kind == "nssp_superpattern":
-            return m_target - bm
-        out = self.base + bm
-        if self.kind in _SYMMETRIC_KINDS:
-            out = (out + out.T) / 2.0
-        return out
+    # -- class checks ------------------------------------------------------
 
     def check_pattern(self):
         return self.super_pattern if self.kind == "nssp_superpattern" else self.pattern
@@ -305,7 +307,8 @@ class PerturbationMap:
         """The same map at a new base, sharing the pattern and skew/full
         bases.  No class check: the caller passes a matrix that a solve's
         :meth:`in_class` has just accepted (a realized matrix, which
-        :meth:`extract` already symmetrized for the symmetric kinds)."""
+        :meth:`LocalChart.realized` made exactly symmetric for the symmetric
+        kinds)."""
         moved = copy.copy(self)
         moved.base = base
         return moved
@@ -389,6 +392,174 @@ def evaluate_map(f: PerturbationMap, params) -> np.ndarray:
 def derivative_at(f: PerturbationMap, params) -> np.ndarray:
     """Analytic Jacobian (n^2 x param_dim) of the map at the parameters."""
     return f.jacobian(params)
+
+
+# ---------------------------------------------------------------------------
+# Local charts
+
+
+def _cayley_minus_identity(k: np.ndarray) -> np.ndarray:
+    """cay(K) - I = (I - K/2)^-1 K, where cay(K) = (I - K/2)^-1 (I + K/2) is
+    orthogonal for skew K and has derivative K at 0."""
+    return np.linalg.solve(np.eye(k.shape[0]) - k / 2.0, k)
+
+
+class LocalChart:
+    """Gauss-Newton state of one solve of F(parameters) = M, in a local
+    chart of the group acting on M.
+
+    The state is a group element G and the matrix N it carries M to:
+
+    =================  =================  ===============================
+    kind               N                  step G <- ...
+    =================  =================  ===============================
+    ssp                U M U^T            cay(K') U
+    smp                U M(c) U^T         cay(K') U, c <- c + c'
+    sap                T^T M T            T (I + L')
+    nssp_similar       S M S^-1           (I + L') S
+    nssp_superpattern  S^-1 A S           S (I + L')
+    =================  =================  ===============================
+
+    with U orthogonal, K' skew, cay the Cayley transform and M(c) =
+    sum_j c_j P_j the target with its eigenvalue clusters (spectral
+    projectors P_j) moved to the values c, which start at the cluster
+    centers.  G is held as its displacement G - I, and N is formed as M
+    (A for the superpattern map) plus a correction computed from it, so
+    that N is similar to M up to about one rounding of M.
+
+    F = M holds exactly when A + B = N (for the superpattern map, when
+    A' = M - B is similar to A through N).  B covers ``free``, the
+    diagonal and the upper edges or the support cells, so the equations
+    are left on ``cells``: N = 0 on the strictly upper non-edges of the
+    graph or on the zero cells of the pattern, where the superpattern map
+    asks N = M instead.  On ``cells``, :meth:`step_matrix` is the
+    verifier's eliminated dual block at N (SSP: [K', N] over the skew
+    pairs E_ij - E_ji, i < j; SAP: N L' + L'^T N; nSSP: the commutator
+    over all n^2 cells), plus one column U P_j U^T per target cluster for
+    the SMP.
+    """
+
+    def __init__(self, f: PerturbationMap, m, tol: Tolerances = DEFAULT_TOL):
+        self.f = f
+        self.target = as_matrix(m, "target matrix")
+        n = f.n
+        every = np.divmod(np.arange(n * n), n)
+        if f.kind in _SYMMETRIC_KINDS:
+            self.cells = _non_edges(f.graph)
+            self._columns = np.triu_indices(n, 1) if f.kind != "sap" else every
+        else:
+            self.cells = np.nonzero(f.pattern.as_array() == 0)
+            self._columns = every
+        free = np.ones((n, n), dtype=bool)
+        free[self.cells] = False
+        self.free = np.nonzero(np.triu(free) if f.kind in _SYMMETRIC_KINDS else free)
+        values = np.zeros(0)
+        if f.kind == "smp":
+            dec = sym_eig(self.target, tol)
+            clusters = cluster_eigenvalues(dec.eigenvalues, tol)
+            self._frame = dec.eigenvectors
+            self._sizes = np.array([mult for _, mult in clusters])
+            values = np.array([center for center, _ in clusters])
+        self._place(np.zeros((n, n)), values)
+
+    def _place(self, displacement: np.ndarray, values: np.ndarray) -> None:
+        self.displacement, self.values = displacement, values
+        kind, d, m = self.f.kind, displacement, self.target
+        if kind == "smp":
+            m = (self._frame * np.repeat(values, self._sizes)) @ self._frame.T
+        if kind in ("ssp", "smp"):
+            # (I + D) M (I + D)^T
+            dm = d @ m
+            point = m + (dm + dm.T + dm @ d.T)
+        elif kind == "sap":
+            # (I + D)^T M (I + D)
+            md = m @ d
+            point = m + (md + md.T + d.T @ md)
+        elif kind == "nssp_similar":
+            # (I + D) M (I + D)^-1 = M + (D M - M D) (I + D)^-1
+            group = np.eye(self.f.n) + d
+            point = m + np.linalg.solve(group.T, (d @ m - m @ d).T).T
+        else:
+            # (I + D)^-1 A (I + D) = A + (I + D)^-1 (A D - D A)
+            a = self.f.base
+            point = a + np.linalg.solve(np.eye(self.f.n) + d, a @ d - d @ a)
+        if kind in _SYMMETRIC_KINDS:
+            point = (point + point.T) / 2.0
+        self.point = point
+
+    def residual(self) -> np.ndarray:
+        """Equation residuals on ``cells``."""
+        out = self.point[self.cells]
+        if self.f.kind == "nssp_superpattern":
+            out = out - self.target[self.cells]
+        return out
+
+    def residual_norm(self) -> float:
+        """||A' - N||_F for the realized matrix A' (:meth:`realized`)."""
+        scale = SQRT2 if self.f.kind in _SYMMETRIC_KINDS else 1.0
+        return scale * float(np.linalg.norm(self.residual()))
+
+    def step_matrix(self, cells=None) -> np.ndarray:
+        """Derivative of N on ``cells`` (default: the equation cells, that
+        of :meth:`residual`) along the step coordinates: K' over the
+        strictly upper pairs (ssp, smp) or L' over all cells in row-major
+        order, then c' (smp)."""
+        cells = self.cells if cells is None else cells
+        point, cols = self.point, self._columns
+        kind = self.f.kind
+        if kind in ("ssp", "smp"):
+            jac = _commutator_block(point, cells, cols[::-1]) - _commutator_block(
+                point, cells, cols
+            )
+            if kind == "smp":
+                w = self._frame + self.displacement @ self._frame
+                products = w[cells[0]] * w[cells[1]]
+                starts = np.cumsum(self._sizes) - self._sizes
+                jac = np.hstack([jac, np.add.reduceat(products, starts, axis=1)])
+            return jac
+        if kind == "sap":
+            return _left_block(point, cells, cols) + _left_block(
+                point, cells[::-1], cols
+            )
+        jac = _commutator_block(point, cells, cols)
+        return -jac if kind == "nssp_similar" else jac
+
+    def lie_step(self, step) -> np.ndarray:
+        """The step's K' or L' as an n x n matrix."""
+        n = self.f.n
+        out = np.zeros((n, n))
+        out[self._columns] = step[: len(self._columns[0])]
+        if self.f.kind in ("ssp", "smp"):
+            out = out - out.T
+        return out
+
+    def moved(self, step) -> LocalChart:
+        """The chart after a step, retracted onto the group."""
+        step = np.asarray(step, dtype=float)
+        lie, kind, d = self.lie_step(step), self.f.kind, self.displacement
+        group = np.eye(self.f.n) + d
+        if kind in ("ssp", "smp"):
+            moved = d + _cayley_minus_identity(lie) @ group
+        elif kind == "nssp_similar":
+            moved = d + lie @ group
+        else:
+            moved = d + group @ lie
+        out = copy.copy(self)
+        # the cluster values follow K' in the step (smp only)
+        out._place(moved, self.values + step[len(self._columns[0]) :])
+        return out
+
+    def realized(self) -> np.ndarray:
+        """N with the residuals on ``cells`` cleared: zeros there, or the
+        target's entries for the superpattern map."""
+        out = self.point.copy()
+        if self.f.kind == "nssp_superpattern":
+            out[self.cells] = self.target[self.cells]
+        else:
+            out[self.cells] = 0.0
+        if self.f.kind in _SYMMETRIC_KINDS:
+            out[self.cells[::-1]] = 0.0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +654,24 @@ def solve_to_target(
     recheck: bool = True,
     base_report: StrongPropertyReport | None = None,
 ) -> RealizationResult:
-    """Solve F(parameters) = M_target by minimum-norm Gauss-Newton.
+    """Solve F(parameters) = M_target by minimum-norm Gauss-Newton steps in
+    a local chart (:class:`LocalChart`).
 
     The derivative at zero must be surjective (else
     :class:`SurjectivityFailure`).  That is the map's strong property at
     its base, so the verifier decides it: ``base_report`` is the report of
     that property for ``f.base``, which the caller vouches for; without
-    one, the base is verified here.  The caller keeps ||M_target - A||
-    within a trust radius, retrying with a shorter step on
-    :class:`NoConvergence` or :class:`PatternViolation`.  On success the
-    realized matrix is pattern-checked and its strong property re-verified.
+    one, the base is verified here.  A target within newton_tol of the base
+    returns the base itself, with 0 iterations and ``base_report``.
+    Otherwise each step solves the chart's step matrix for the residuals
+    by minimum norm (the first jointly with B, :func:`_opening_step`), with
+    its Lie-algebra part capped at ``L_NORM_CAP``; ``residual_trace`` and
+    ``final_residual`` are ||A' - N||_F, the distance from the realized
+    matrix A' to the matrix N that is exactly similar (congruent for the
+    SAP) to M_target.  The caller keeps ||M_target - A|| within a trust
+    radius, retrying with a shorter step on :class:`NoConvergence` or
+    :class:`PatternViolation`.  On success the realized matrix is
+    pattern-checked and its strong property re-verified.
     """
     m = as_matrix(m_target, "target matrix")
     if m.shape != f.base.shape:
@@ -511,50 +690,22 @@ def solve_to_target(
             "derivative at zero is not surjective: the base matrix lacks the "
             "strong property matching this map"
         )
-    params = f.zero_params()
-    trace: list[float] = []
-    best = math.inf
-    iterations = 0
-    for it in range(tol.max_iter + 1):
-        value = f.evaluate(params)
-        residual = (m - value).reshape(-1)
-        res_norm = float(np.linalg.norm(residual))
-        trace.append(res_norm)
-        best = min(best, res_norm)
-        if res_norm <= tol.newton_tol:
-            iterations = it
-            break
-        if it == tol.max_iter:
-            raise NoConvergence(
-                f"no convergence after {tol.max_iter} Gauss-Newton iterations "
-                f"(best residual {best:.3e})",
-                best_residual=best,
-                trace=trace,
-            )
-        step = lstsq_min_norm(f.jacobian(params), residual, tol)
-        new_params = params + step
-        if f.kind in _NSSP_KINDS:
-            l_old = f.second_norm(params)
-            l_new = f.second_norm(new_params)
-            if l_new > L_NORM_CAP:
-                scale = max((L_NORM_CAP - l_old), 0.0) / max(l_new - l_old, 1e-300)
-                if scale <= 0.0:
-                    raise NoConvergence(
-                        "Gauss-Newton step would push ||L|| past the invertibility "
-                        "cap; shrink the target step",
-                        best_residual=best,
-                        trace=trace,
-                    )
-                new_params = params + scale * step
-        params = new_params
-
-    a_prime = f.extract(params, m)
+    distance = fro(m - f.base)
+    at_base = distance <= tol.newton_tol
+    if at_base:
+        a_prime, iterations, trace = f.base.copy(), 0, [distance]
+    else:
+        a_prime, iterations, trace = _chart_solve(LocalChart(f, m, tol), tol)
     if not f.in_class(a_prime, tol):
         raise PatternViolation(
             "realized matrix left the pattern class; the target step was too large"
         )
     report = None
-    if recheck:
+    # the superpattern map's result is verified in the superpattern, its
+    # base in the base pattern
+    if recheck and at_base and f.kind != "nssp_superpattern":
+        report = base_report
+    elif recheck:
         report = f.recheck(a_prime, tol)
         if not report.holds:
             raise PropertyNotPreserved(
@@ -562,15 +713,50 @@ def solve_to_target(
                 "too large"
             )
     return _result(
-        f.required_nonzero(),
-        a_prime,
-        "matrix",
-        m,
-        a_prime,
-        iterations,
-        trace[-1] if trace else 0.0,
-        trace,
-        report,
+        f.required_nonzero(), a_prime, "matrix", m, a_prime,
+        iterations, trace[-1], trace, report,
+    )
+
+
+def _opening_step(chart: LocalChart, tol: Tolerances) -> np.ndarray:
+    """First step of a solve, minimum-norm jointly in the Lie-algebra step
+    and in B on the free cells, as a Gauss-Newton step of the map itself
+    would be: it trades the target's displacement between the pattern and
+    the group so that the realized matrix stays near the base."""
+    equations, free = chart.step_matrix(), chart.step_matrix(chart.free)
+    k = free.shape[0]
+    system = np.block(
+        [[equations, np.zeros((equations.shape[0], k))], [free, -np.eye(k)]]
+    )
+    reference = chart.target if chart.f.kind == "nssp_superpattern" else chart.f.base
+    rhs = np.concatenate([chart.residual(), (chart.point - reference)[chart.free]])
+    return lstsq_min_norm(system, -rhs, tol)[: equations.shape[1]]
+
+
+def _chart_solve(chart: LocalChart, tol: Tolerances):
+    """Gauss-Newton iterations on the chart: (realized matrix, iterations,
+    residual trace)."""
+    trace: list[float] = []
+    for it in range(tol.max_iter + 1):
+        trace.append(chart.residual_norm())
+        if trace[-1] <= tol.newton_tol:
+            return chart.realized(), it, trace
+        if it == tol.max_iter:
+            break
+        if it == 0:
+            step = _opening_step(chart, tol)
+        else:
+            step = lstsq_min_norm(chart.step_matrix(), -chart.residual(), tol)
+        size = fro(chart.lie_step(step))
+        if size > L_NORM_CAP:
+            step = step * (L_NORM_CAP / size)
+        chart = chart.moved(step)
+    best = min(trace)
+    raise NoConvergence(
+        f"no convergence after {tol.max_iter} Gauss-Newton iterations "
+        f"(best residual {best:.3e})",
+        best_residual=best,
+        trace=trace,
     )
 
 
@@ -1181,10 +1367,13 @@ def realize_similar(
     m_target,
     tol: Tolerances = DEFAULT_TOL,
     trust_radius: float | None = None,
+    base_report: StrongPropertyReport | None = None,
 ) -> RealizationResult:
     """Matrix in the sign class similar to ``m_target``, near A.
 
-    Requires the nSSP at A.  A target within the trust radius of the
+    Requires the nSSP at A: ``base_report`` is the caller's nSSP report for
+    A in the pattern (a report for another property is refused); without
+    one, A is verified here.  A target within the trust radius of the
     current matrix is solved for in one hop.  Farther targets are reached
     through the spectrum, which is what the map controls: each hop takes
     the real Schur form Q T Q^T of the current matrix, moves T's diagonal
@@ -1203,7 +1392,12 @@ def realize_similar(
     m_target = as_matrix(m_target, "target matrix")
     if m_target.shape != a.shape:
         raise InputError("target shape does not match the base matrix")
-    base_report = verify_nssp(a, tol, pattern=p)
+    if base_report is None:
+        base_report = verify_nssp(a, tol, pattern=p)
+    elif base_report.property_name != "nssp":
+        raise InputError(
+            f"base report is for the {base_report.property_name.upper()}, not the nSSP"
+        )
     if not base_report.holds:
         raise SurjectivityFailure("base matrix does not have the nSSP")
     target_coeffs = char_poly(m_target)

@@ -474,7 +474,11 @@ def _cmd_sweep(args) -> int:
                 "oracle_agreed": None,
             }
             if args.family == "cycle" and args.realize_lists:
-                smp_report = verify_property("smp", a, graph=g, tol=tol)
+                smp_report = (
+                    report
+                    if args.property == "smp"
+                    else verify_property("smp", a, graph=g, tol=tol)
+                )
                 if smp_report.holds:
                     realized = []
                     agreed = True
@@ -484,7 +488,9 @@ def _cmd_sweep(args) -> int:
                             ok = True
                         else:
                             try:
-                                res = realize_multiplicity_list(a, g, target, tol)
+                                res = realize_multiplicity_list(
+                                    a, g, target, tol, base_report=smp_report
+                                )
                                 achieved_lam = sym_eig(res.matrix, tol).eigenvalues
                                 ok = True
                             except StrongPropsError:

@@ -263,6 +263,24 @@ class TestInertiallyArbitrary:
             certify_inertially_arbitrary(SignPattern.from_matrix(inv), inv)
 
 
+def test_inertial_certificate_verifies_its_witness_once(monkeypatch):
+    from strongprops import arbitrary, bifurcation
+
+    w = np.array([[0.0, 1, 1, 1], [2, 0, 0, 2], [-2, 1, -1, -3], [0, -1, 1, 1]])
+    calls = []
+    for module in (arbitrary, bifurcation):
+        verify = module.verify_nssp
+
+        def counted(*args, _verify=verify, **kwargs):
+            calls.append(np.array_equal(args[0], w))
+            return _verify(*args, **kwargs)
+
+        monkeypatch.setattr(module, "verify_nssp", counted)
+    cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
+    assert cert.complete and len(cert.evidence) == 15
+    assert sum(calls) == 1
+
+
 class TestNJDiagnostic:
     def test_example15_c0_row_exactly_zero(self, example15):
         cells = [(0, 0), (1, 1), (2, 2)]

@@ -177,6 +177,22 @@ class TestSolveToTarget:
         assert np.array_equal(res.matrix, twisted_c4)
         assert res.property_report.holds
 
+    def test_target_within_tolerance_returns_the_base(self):
+        # a solve would return a matrix similar to M rather than A itself,
+        # which at a defective eigenvalue is not the same answer
+        rng = np.random.default_rng(36)
+        maps = all_maps_for(rng)[:4]
+        b = np.array([[1.0, 1.0], [1.0, 0.0]])
+        pb = SignPattern.from_matrix(b)
+        maps.append(superpattern_map(b, pb, pb))
+        for f in maps:
+            e = rng.normal(size=f.base.shape)
+            if f.kind in ("ssp", "smp", "sap"):
+                e = e + e.T
+            res = solve_to_target(f, f.base + 1e-15 * e / fro(e))
+            assert np.array_equal(res.matrix, f.base), f.kind
+            assert res.iterations == 0 and res.property_report.holds
+
     def test_p2_closed_form(self):
         g = Graph.path(2)
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -465,6 +481,13 @@ class TestRealizeSimilar:
             )
         assert matrix_in_sign_class(scaled, example15_pattern)
 
+    def test_base_report_for_another_property_is_refused(
+        self, twisted_c4, c4, example15, example15_pattern
+    ):
+        sap = verify_sap(twisted_c4, c4)
+        with pytest.raises(InputError, match="SAP"):
+            realize_similar(example15, example15_pattern, example15, base_report=sap)
+
     def test_requires_nssp(self):
         j2 = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(SurjectivityFailure):
@@ -677,9 +700,11 @@ class TestSurjectivityFromReports:
     def test_q(self, twisted_c4, c4):
         assert realize_q(twisted_c4, c4, 4).achieved == 4
 
-    def test_similar_homotopy(self, example15, example15_pattern):
-        m = example15 + 0.01 * np.eye(3)
-        res = realize_similar(example15, example15_pattern, m, trust_radius=0.02)
+    def test_similar_homotopy(self):
+        # a pattern with a zero cell, so that each hop has an equation left
+        a = np.array([[1.0, 1.0], [1.0, 0.0]])
+        m = a + 0.01 * np.eye(2)
+        res = realize_similar(a, SignPattern.from_matrix(a), m, trust_radius=0.01)
         assert res.iterations > 0 and res.property_report.holds
 
     def test_superpattern(self):

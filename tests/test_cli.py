@@ -322,6 +322,28 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_cycle_sweep_verifies_each_base_smp_once(self, monkeypatch, capsys):
+        from strongprops import bifurcation, cli, verifiers
+
+        calls = []
+        verify = verifiers.verify_smp
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.asarray(a, dtype=float).copy())
+            return verify(a, *args, **kwargs)
+
+        monkeypatch.setitem(verifiers._VERIFIERS, "smp", counted)
+        monkeypatch.setattr(bifurcation, "verify_smp", counted)
+        code, _, _ = run(
+            capsys,
+            ["sweep", "--family", "cycle", "--n-min", "3", "--n-max", "5",
+             "--property", "smp", "--seed", "3", "--realize-lists"],
+        )
+        assert code == 0
+        bases = [a for n in (3, 4, 5) for _, a in cli._cycle_bases(n)]
+        for base in bases:
+            assert sum(np.array_equal(a, base) for a in calls) == 1
+
 
 class TestDeterminism:
     def test_sweep_json_byte_identical(self, capsys):
