@@ -24,7 +24,7 @@ when the nSSP certification above still applies).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .errors import (
     InternalCheckError,
     NoConvergence,
     PatternViolation,
-    StrongPropsError,
     SurjectivityFailure,
 )
 from .numerics import (
@@ -102,6 +101,8 @@ class ConjInvariantSpectrum:
                 raise InputError("spectrum entries must be finite")
             if b <= 0:
                 raise InputError("conjugate pairs must have positive imaginary part")
+        if not math.isfinite(self.sum_squares()):
+            raise InputError("sum of squared moduli of the spectrum overflows")
 
     @classmethod
     def from_values(cls, values, imag_tol: float = 1e-12) -> "ConjInvariantSpectrum":
@@ -313,19 +314,25 @@ class Certificate:
 
 
 def _certify_hypothesis(
-    p: SignPattern, a: np.ndarray, tol: Tolerances, require_nilpotent: bool
+    p: SignPattern, a: np.ndarray, tol: Tolerances, require_nilpotent: bool,
+    require_nssp: bool = True,
 ):
+    """Check the witness: its size, its class and, when required, that it
+    is nilpotent and has the nSSP.  Returns (nilpotency norms, nSSP
+    report), each None when not required."""
     if a.shape[0] != p.n:
         raise HypothesisFailure(
             f"witness size {a.shape[0]} does not match pattern size {p.n}"
         )
     if not matrix_in_sign_class(a, p, tol):
         raise HypothesisFailure("witness matrix is not in the sign class")
-    norms = nilpotency_norms(a, tol)
+    norms = nilpotency_norms(a, tol) if require_nilpotent else None
     if require_nilpotent and not norms["is_nilpotent"]:
         raise HypothesisFailure(
             "witness matrix is not nilpotent within tolerance", details=norms
         )
+    if not require_nssp:
+        return norms, None
     report = verify_nssp(a, tol, pattern=p)
     if not report.holds:
         raise HypothesisFailure(
@@ -335,25 +342,29 @@ def _certify_hypothesis(
     return norms, report
 
 
-def _tight_tolerances(tol: Tolerances, newton_tol: float) -> Tolerances:
-    return Tolerances(
-        rank_tol=tol.rank_tol,
-        cluster_tol=tol.cluster_tol,
-        newton_tol=min(tol.newton_tol, newton_tol),
-        max_iter=tol.max_iter,
-    )
+def _first_success(attempt, values, message: str | None = None):
+    """``attempt(value)`` for each value in turn, until one returns without
+    :class:`NoConvergence` or :class:`PatternViolation`.  When all of them
+    fail, the last failure is raised again, or a :class:`NoConvergence`
+    with ``message`` when one is given."""
+    for value in values:
+        try:
+            return attempt(value)
+        except (NoConvergence, PatternViolation) as exc:
+            last = exc
+    if message is not None:
+        raise NoConvergence(message) from last
+    raise last
 
 
 def _realize_with_ladder(a, p, m, tol: Tolerances, report: StrongPropertyReport):
-    last: Exception | None = None
-    for newton_tol in (*_CERT_NEWTON_LADDER, tol.newton_tol):
-        try:
-            return realize_similar(
-                a, p, m, _tight_tolerances(tol, newton_tol), base_report=report
-            )
-        except NoConvergence as exc:
-            last = exc
-    raise last
+    return _first_success(
+        lambda newton_tol: realize_similar(
+            a, p, m, replace(tol, newton_tol=min(tol.newton_tol, newton_tol)),
+            base_report=report,
+        ),
+        (*_CERT_NEWTON_LADDER, tol.newton_tol),
+    )
 
 
 def certify_spectrally_arbitrary(
@@ -384,22 +395,19 @@ def certify_spectrally_arbitrary(
             raise InputError(
                 f"target spectrum has {target.size} values, pattern has {p.n}"
             )
-        k = 1
-        while math.sqrt(target.sum_squares()) / k >= limit:
-            k *= 2
+        # the smallest power of two k with radius / k < limit, then larger
+        # ones to pull the target deeper into the neighborhood
+        radius = math.sqrt(target.sum_squares())
+        k = 2 ** max(0, math.frexp(radius / limit)[1])
+        if k > 1 and radius / (k // 2) < limit:
+            k //= 2
+
+        def attempt(k):
+            m = nilpotent_nearby(a, target.scaled(1.0 / k), tol=tol)
+            return k, _realize_with_ladder(a, p, m, tol, report)
+
         try:
-            res = None
-            last_exc: Exception | None = None
-            for _attempt in range(_CERT_SCALE_ATTEMPTS):
-                m = nilpotent_nearby(a, target.scaled(1.0 / k), tol=tol)
-                try:
-                    res = _realize_with_ladder(a, p, m, tol, report)
-                    break
-                except (NoConvergence, PatternViolation) as exc:
-                    last_exc = exc
-                    k *= 2  # pull the target deeper into the neighborhood
-            if res is None:
-                raise last_exc
+            k, res = _first_success(attempt, (k << i for i in range(_CERT_SCALE_ATTEMPTS)))
             realized = float(k) * res.matrix
             if not matrix_in_sign_class(realized, p, tol):
                 raise PatternViolation("scaled realization left the sign class")
@@ -456,17 +464,7 @@ def raise_nilpotent_index(
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
-    if a.shape[0] != p.n:
-        raise HypothesisFailure(
-            f"witness size {a.shape[0]} does not match pattern size {p.n}"
-        )
-    if not matrix_in_sign_class(a, p, tol):
-        raise HypothesisFailure("witness matrix is not in the sign class")
-    norms = nilpotency_norms(a, tol)
-    if not norms["is_nilpotent"]:
-        raise HypothesisFailure(
-            "witness matrix is not nilpotent within tolerance", details=norms
-        )
+    _certify_hypothesis(p, a, tol, require_nilpotent=True, require_nssp=False)
 
     def has_index_n(m: np.ndarray) -> bool:
         if n == 1:
@@ -487,25 +485,26 @@ def raise_nilpotent_index(
     d = 0.01 * (1.0 + fro(a)) if delta is None else float(delta)
     if d <= 0:
         raise InputError("delta must be positive")
-    for attempt in range(MAX_INDEX_ATTEMPTS):
+
+    def attempt(d):
         t_new = t.copy()
         for i in range(n - 1):
             if abs(t_new[i, i + 1]) <= d:
                 t_new[i, i + 1] = d
         m = schur.orthogonal @ t_new @ schur.orthogonal.T
-        try:
-            res = realize_similar(a, p, m, tol, base_report=report)
-        except (NoConvergence, PatternViolation):
-            d /= 2.0
-            continue
-        a_prime = res.matrix
+        a_prime = realize_similar(a, p, m, tol, base_report=report).matrix
         power_n = fro(np.linalg.matrix_power(a_prime, n))
         if has_index_n(a_prime) and power_n <= NILPOTENT_NORM_RTOL * max(
             1.0, fro(a_prime) ** n
         ):
             return a_prime
-        d /= 2.0
-    raise StrongPropsError("index check failure: could not realize index n")
+        raise NoConvergence("realized matrix is not nilpotent of index n")
+
+    return _first_success(
+        attempt,
+        (d / 2.0**i for i in range(MAX_INDEX_ATTEMPTS)),
+        "index check failure: could not realize index n",
+    )
 
 
 def _allocate_perturbations(
@@ -546,12 +545,7 @@ def certify_inertially_arbitrary(
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
-    if a.shape[0] != p.n:
-        raise HypothesisFailure(
-            f"witness size {a.shape[0]} does not match pattern size {p.n}"
-        )
-    if not matrix_in_sign_class(a, p, tol):
-        raise HypothesisFailure("witness matrix is not in the sign class")
+    _certify_hypothesis(p, a, tol, require_nilpotent=False, require_nssp=False)
     refined = rin(a, tol)
     n_pos, n_neg, n_z, n_p2 = refined
     if n_pos or n_neg:
@@ -603,13 +597,8 @@ def certify_inertially_arbitrary(
                 pairs_pos, zeros_pos, pairs_neg, zeros_neg = _allocate_perturbations(
                     p_t, q_t, len(pair_blocks), len(zero_slots)
                 )
-                # Any positive shift realizes the same inertia, so the shift
-                # shrinks until the target sits inside the reachable
-                # neighborhood of the witness.
-                res = None
-                last_exc: Exception | None = None
-                delta = delta0
-                for _attempt in range(_INERTIA_SHIFT_ATTEMPTS):
+
+                def attempt(delta):
                     shift = np.zeros((n, n))
                     for start in pair_blocks[:pairs_pos]:
                         shift[start, start] = shift[start + 1, start + 1] = delta
@@ -624,14 +613,14 @@ def certify_inertially_arbitrary(
                         @ (schur.quasi_triangular + shift)
                         @ schur.orthogonal.T
                     )
-                    try:
-                        res = realize_similar(a, p, m, tol, base_report=report)
-                        break
-                    except (NoConvergence, PatternViolation) as exc:
-                        last_exc = exc
-                        delta /= 4.0
-                if res is None:
-                    raise last_exc
+                    return realize_similar(a, p, m, tol, base_report=report)
+
+                # Any positive shift realizes the same inertia, so the shift
+                # shrinks until the target sits inside the reachable
+                # neighborhood of the witness.
+                res = _first_success(
+                    attempt, (delta0 / 4.0**i for i in range(_INERTIA_SHIFT_ATTEMPTS))
+                )
                 achieved = inertia(res.matrix, tol)
                 evidence.append(
                     Evidence(

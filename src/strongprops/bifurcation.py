@@ -31,19 +31,23 @@ each solve is minimum-norm jointly with B, as the map's own step would
 be.  Each step matrix is the verifier's eliminated dual block at N, so it
 has full row rank at the base exactly when the property holds.  The
 strong property persists for small steps; every solve re-verifies it
-rather than assuming.  Far targets are reached by a homotopy that
-re-bases onto each accepted intermediate matrix, keeping every solve
-short, and walks in the invariant the map controls: the symmetric
-realizers move eigenvalues along Q diag Q^T, and
+rather than assuming.
+
+Every realizer but :func:`realize_q` is a plan for one continuation
+driver, :func:`_homotopy`: the plan names the next target within a trust
+radius of the current matrix, the driver solves for it, re-bases the map
+on the realized matrix (:meth:`PerturbationMap.rebased`) and halves the
+radius when a solve fails, within MAX_TRUST_HALVINGS halvings and
+MAX_HOMOTOPY_HOPS hops.  The plans walk in the invariant the map
+controls: the symmetric realizers move eigenvalues along Q diag Q^T, and
 :func:`realize_similar` moves the diagonal blocks of the current real
-Schur form Q T Q^T toward the target's eigenvalues.  Each call builds its
-map once and moves it to every new base with
-:meth:`PerturbationMap.rebased`.
+Schur form Q T Q^T toward the target's eigenvalues.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -128,7 +132,7 @@ class PerturbationMap:
 
     Parameters are a flat vector [b-coefficients | K/L-coefficients |
     polynomial coefficients (smp only)] against orthonormal bases of the
-    pattern space and the skew/full matrix space.
+    pattern space and the skew/full matrix space, built on first use.
     """
 
     kind: str
@@ -146,23 +150,32 @@ class PerturbationMap:
         if self.kind in _SYMMETRIC_KINDS:
             if self.graph is None:
                 raise InputError(f"{self.kind} map needs a graph")
-            self._b_basis = graph_closure_basis(self.graph)
-            self._second_basis = (
-                skew_basis(self.n) if self.kind in ("ssp", "smp") else full_basis(self.n)
-            )
             self.ambient_dim = self.n * (self.n + 1) // 2
         else:
             if self.pattern is None:
                 raise InputError(f"{self.kind} map needs a sign pattern")
-            self._b_basis = sign_tangent_basis(self.pattern)
-            self._second_basis = full_basis(self.n)
             self.ambient_dim = self.n * self.n
         self._c_dim = self.q if self.kind == "smp" else 0
         if self.kind == "smp" and (self.q is None or self.q < 1):
             raise InputError("smp map needs q >= 1")
-        self.param_dim = self._b_basis.dim + self._second_basis.dim + self._c_dim
 
     # -- parameter bookkeeping ------------------------------------------
+    # Only the specification (evaluate, jacobian) reads the bases; the
+    # solver (:class:`LocalChart`) never does.
+
+    @functools.cached_property
+    def _b_basis(self):
+        if self.kind in _SYMMETRIC_KINDS:
+            return graph_closure_basis(self.graph)
+        return sign_tangent_basis(self.pattern)
+
+    @functools.cached_property
+    def _second_basis(self):
+        return skew_basis(self.n) if self.kind in ("ssp", "smp") else full_basis(self.n)
+
+    @property
+    def param_dim(self) -> int:
+        return self._b_basis.dim + self._second_basis.dim + self._c_dim
 
     def zero_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)
@@ -304,8 +317,8 @@ class PerturbationMap:
         return verify_nssp(a, tol, pattern=self.check_pattern())
 
     def rebased(self, base: np.ndarray) -> PerturbationMap:
-        """The same map at a new base, sharing the pattern and skew/full
-        bases.  No class check: the caller passes a matrix that a solve's
+        """The same map at a new base, sharing whichever bases are built.
+        No class check: the caller passes a matrix that a solve's
         :meth:`in_class` has just accepted (a realized matrix, which
         :meth:`LocalChart.realized` made exactly symmetric for the symmetric
         kinds)."""
@@ -668,9 +681,9 @@ def solve_to_target(
     its Lie-algebra part capped at ``L_NORM_CAP``; ``residual_trace`` and
     ``final_residual`` are ||A' - N||_F, the distance from the realized
     matrix A' to the matrix N that is exactly similar (congruent for the
-    SAP) to M_target.  The caller keeps ||M_target - A|| within a trust
-    radius, retrying with a shorter step on :class:`NoConvergence` or
-    :class:`PatternViolation`.  On success the realized matrix is
+    SAP) to M_target.  The realizers' driver (:func:`_homotopy`) keeps
+    ||M_target - A|| within a trust radius, retrying with a shorter step on
+    :class:`NoConvergence` or :class:`PatternViolation`.  On success the realized matrix is
     pattern-checked and its strong property re-verified.
     """
     m = as_matrix(m_target, "target matrix")
@@ -678,18 +691,8 @@ def solve_to_target(
         raise InputError(
             f"target shape {m.shape} does not match base shape {f.base.shape}"
         )
-    base_report = f.verify_base(tol) if base_report is None else base_report
     prop = "nssp" if f.kind in _NSSP_KINDS else f.kind
-    if base_report.property_name != prop:
-        raise InputError(
-            f"base report is for the {base_report.property_name.upper()}, "
-            f"but a {f.kind} map needs the {prop.upper()}"
-        )
-    if not base_report.holds:
-        raise SurjectivityFailure(
-            "derivative at zero is not surjective: the base matrix lacks the "
-            "strong property matching this map"
-        )
+    base_report = _checked_base(base_report, prop, lambda: f.verify_base(tol))
     distance = fro(m - f.base)
     at_base = distance <= tol.newton_tol
     if at_base:
@@ -716,6 +719,23 @@ def solve_to_target(
         f.required_nonzero(), a_prime, "matrix", m, a_prime,
         iterations, trace[-1], trace, report,
     )
+
+
+def _checked_base(report, prop: str, verify) -> StrongPropertyReport:
+    """The report of the property ``prop`` at a base: the caller's, which
+    must be for ``prop``, or ``verify()`` when there is none.  Every solve
+    needs the property at its base, so a report in which it fails raises
+    :class:`SurjectivityFailure`."""
+    name = "nSSP" if prop == "nssp" else prop.upper()
+    if report is None:
+        report = verify()
+    elif report.property_name != prop:
+        raise InputError(
+            f"base report is for the {report.property_name.upper()}, not the {name}"
+        )
+    if not report.holds:
+        raise SurjectivityFailure(f"base matrix does not have the {name}")
+    return report
 
 
 def _opening_step(chart: LocalChart, tol: Tolerances) -> np.ndarray:
@@ -764,6 +784,70 @@ def _chart_solve(chart: LocalChart, tol: Tolerances):
 # Realizers built on the solver
 
 
+def _homotopy(
+    f: PerturbationMap,
+    report: StrongPropertyReport | None,
+    trust: float,
+    plan,
+    tol: Tolerances,
+    what: str,
+    progress=None,
+    hops: int = MAX_HOMOTOPY_HOPS,
+    recheck: bool = True,
+):
+    """Continuation from ``f.base`` through the hops that ``plan`` lays out,
+    with the step size controlled by halving (Allgower and Georg, Numerical
+    Continuation Methods, 1990).
+
+    ``plan(cur, trust)`` returns ``(M, last)``: the next target M, at most
+    ``trust`` from the current matrix ``cur``, and whether reaching it ends
+    the walk; or ``None`` once ``cur`` is the goal.  Each hop is one
+    :func:`solve_to_target` from ``cur``, vouched for by ``report``; an
+    accepted hop that is not the last re-bases ``f`` on the realized matrix.
+    ``trust`` halves when a solve raises :class:`NoConvergence` or
+    :class:`PatternViolation`, and when ``progress(new, trust)`` judges that
+    an accepted hop moved too little (the hop is still kept).  The halving
+    past the MAX_TRUST_HALVINGS-th, or a round past hops + MAX_TRUST_HALVINGS,
+    raises :class:`NoConvergence` naming ``what``.  Returns (matrix, report,
+    Gauss-Newton iterations, residual trace, final residual).
+    """
+    cur, halvings, iterations, trace, residual = f.base, 0, 0, [], 0.0
+
+    def halve(reason: str, cause=None) -> None:
+        nonlocal trust, halvings
+        halvings += 1
+        trust /= 2.0
+        if halvings > MAX_TRUST_HALVINGS:
+            raise NoConvergence(f"{what} {reason}") from cause
+
+    for _round in range(hops + MAX_TRUST_HALVINGS):
+        step = plan(cur, trust)
+        if step is None:
+            return cur, report, iterations, trace, residual
+        m, last = step
+        try:
+            res = solve_to_target(f, m, tol, recheck=recheck, base_report=report)
+        except (NoConvergence, PatternViolation) as exc:
+            halve(f"failed after {MAX_TRUST_HALVINGS} trust-radius halvings", exc)
+            continue
+        iterations += res.iterations
+        trace.extend(res.residual_trace)
+        residual = res.final_residual
+        if last:
+            return res.matrix, res.property_report, iterations, trace, residual
+        if progress is not None and not progress(res.matrix, trust):
+            halve("stalled")
+        cur, report = res.matrix, res.property_report
+        f = f.rebased(cur)
+    raise NoConvergence(f"{what} did not terminate")
+
+
+def _with_spectrum(vectors: np.ndarray, values) -> np.ndarray:
+    """The symmetric matrix Q diag(values) Q^T."""
+    m = vectors @ np.diag(values) @ vectors.T
+    return (m + m.T) / 2.0
+
+
 def realize_spectrum(
     a,
     g: Graph,
@@ -776,11 +860,11 @@ def realize_spectrum(
 
     Requires the SSP at A: ``base_report`` is the caller's SSP report for
     A (a report for another property is refused); without one, A is
-    verified here.  Builds M = Q diag(target) Q^T from the
-    eigendecomposition of the current base and, when the spectral step
-    exceeds the trust radius, walks a straight-line homotopy in spectrum
-    space, re-basing on each realized intermediate matrix (the property
-    persists at every step, so each hop starts from a verified base).
+    verified here.  Each hop moves the eigenvalues of the current matrix
+    Q diag Q^T straight toward the target by at most the trust radius and
+    solves for the result (:func:`_homotopy`), so the walk re-bases on each
+    realized intermediate matrix (the property persists at every step, so
+    each hop starts from a verified base).
     """
     a = symmetrize(a)
     target = np.sort(np.asarray(target, dtype=float).reshape(-1))
@@ -788,58 +872,25 @@ def realize_spectrum(
         raise InputError(f"target spectrum must have {g.n} values")
     if not np.all(np.isfinite(target)):
         raise InputError("target spectrum contains non-finite values")
-    if base_report is None:
-        base_report = verify_ssp(a, g, tol)
-    elif base_report.property_name != "ssp":
-        raise InputError(
-            f"base report is for the {base_report.property_name.upper()}, not the SSP"
-        )
-    if not base_report.holds:
-        raise SurjectivityFailure("base matrix does not have the SSP")
+    base_report = _checked_base(base_report, "ssp", lambda: verify_ssp(a, g, tol))
 
-    f = ssp_map(a, g)
-    cur, report = a, base_report
-    trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
-    halvings = 0
-    total_iters = 0
-    trace: list[float] = []
-    for _hop in range(MAX_HOMOTOPY_HOPS):
+    def plan(cur, trust):
         dec = sym_eig(cur, tol)
         delta = target - dec.eigenvalues
         dist = float(np.linalg.norm(delta))
-        final_hop = dist <= trust
-        waypoint = target if final_hop else dec.eigenvalues + (trust / dist) * delta
-        m = dec.eigenvectors @ np.diag(waypoint) @ dec.eigenvectors.T
-        m = (m + m.T) / 2.0
-        try:
-            res = solve_to_target(f, m, tol, base_report=report)
-        except (NoConvergence, PatternViolation):
-            halvings += 1
-            trust /= 2.0
-            if halvings > MAX_TRUST_HALVINGS:
-                raise NoConvergence(
-                    "spectrum homotopy failed after "
-                    f"{MAX_TRUST_HALVINGS} trust-radius halvings"
-                ) from None
-            continue
-        cur, report = res.matrix, res.property_report
-        f = f.rebased(cur)
-        total_iters += res.iterations
-        trace.extend(res.residual_trace)
-        if final_hop:
-            achieved = sym_eig(cur, tol).eigenvalues
-            return _result(
-                g.edges,
-                cur,
-                "spectrum",
-                tuple(float(v) for v in target),
-                tuple(float(v) for v in achieved),
-                total_iters,
-                res.final_residual,
-                trace,
-                report,
-            )
-    raise NoConvergence("spectrum homotopy did not terminate")
+        last = dist <= trust
+        waypoint = target if last else dec.eigenvalues + (trust / dist) * delta
+        return _with_spectrum(dec.eigenvectors, waypoint), last
+
+    trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
+    cur, report, iterations, trace, residual = _homotopy(
+        ssp_map(a, g), base_report, trust, plan, tol, "spectrum homotopy"
+    )
+    achieved = sym_eig(cur, tol).eigenvalues
+    return _result(
+        g.edges, cur, "spectrum", tuple(float(v) for v in target),
+        tuple(float(v) for v in achieved), iterations, residual, trace, report,
+    )
 
 
 def _split_values(clusters, blocks, delta: float) -> np.ndarray:
@@ -881,8 +932,9 @@ def realize_multiplicity_list(
     verified here.  The base is rescaled to unit Frobenius norm for the
     solve (the correction polynomial uses raw monomials, so conditioning
     matters) and scaled back afterwards; scaling is an exact
-    similarity-respecting transformation.  The achieved list is
-    post-checked against the target rather than assumed.
+    similarity-respecting transformation.  The split is one hop whose
+    width halves until it is solved.  The achieved list is post-checked
+    against the target rather than assumed.
     """
     a = symmetrize(a)
     if a.shape[0] != g.n:
@@ -890,18 +942,12 @@ def realize_multiplicity_list(
     target = OrderedMultiplicityList(entries=tuple(int(m) for m in target))
     if target.total != g.n:
         raise InputError(f"multiplicity list must sum to {g.n}")
-    if base_report is None:
-        base_report = verify_smp(a, g, tol)
-    elif base_report.property_name != "smp":
-        raise InputError(
-            f"base report is for the {base_report.property_name.upper()}, not the SMP"
-        )
-    if not base_report.holds:
-        raise SurjectivityFailure("base matrix does not have the SMP")
+    base_report = _checked_base(base_report, "smp", lambda: verify_smp(a, g, tol))
 
     scale = max(1.0, fro(a))
     w = a / scale
-    clusters = cluster_eigenvalues(sym_eig(w, tol).eigenvalues, tol)
+    dec = sym_eig(w, tol)
+    clusters = cluster_eigenvalues(dec.eigenvalues, tol)
     m_base = OrderedMultiplicityList(entries=tuple(m for _, m in clusters))
     blocks = refinement_blocks(target, m_base)
     if blocks is None:
@@ -915,48 +961,31 @@ def realize_multiplicity_list(
         )
 
     trust = default_trust_radius(w) if trust_radius is None else float(trust_radius)
-    delta = min(0.25 * _min_cluster_gap(clusters), trust)
-    dec = sym_eig(w, tol)
-    f = smp_map(w, g, tol)
-    last_error: Exception | None = None
-    for _attempt in range(MAX_TRUST_HALVINGS + 1):
-        split = _split_values(clusters, blocks, delta)
-        m = dec.eigenvectors @ np.diag(split) @ dec.eigenvectors.T
-        m = (m + m.T) / 2.0
-        try:
-            # the SMP of the scaled base is the SMP of A, and the realized
-            # matrix is verified once, after scaling back
-            res = solve_to_target(f, m, tol, recheck=False, base_report=base_report)
-        except (NoConvergence, PatternViolation) as exc:
-            last_error = exc
-            delta /= 2.0
-            continue
-        a_prime = scale * res.matrix
-        achieved = ordered_multiplicity_list(sym_eig(a_prime, tol).eigenvalues, tol)
-        if tuple(achieved) != tuple(target):
-            raise NoConvergence(
-                f"achieved multiplicity list {tuple(achieved)} differs from the "
-                f"target {tuple(target)}"
-            )
-        report = verify_smp(a_prime, g, tol)
-        if not report.holds:
-            raise PropertyNotPreserved(
-                "realized matrix lost the SMP; the split was too large"
-            )
-        return _result(
-            g.edges,
-            a_prime,
-            "multiplicity_list",
-            tuple(target),
-            tuple(achieved),
-            res.iterations,
-            res.final_residual,
-            res.residual_trace,
-            report,
+
+    def plan(_cur, delta):
+        return _with_spectrum(dec.eigenvectors, _split_values(clusters, blocks, delta)), True
+
+    # the SMP of the scaled base is the SMP of A, and the realized matrix
+    # is verified once, after scaling back
+    realized, _, iterations, trace, residual = _homotopy(
+        smp_map(w, g, tol), base_report, min(0.25 * _min_cluster_gap(clusters), trust),
+        plan, tol, "multiplicity split", recheck=False,
+    )
+    a_prime = scale * realized
+    achieved = ordered_multiplicity_list(sym_eig(a_prime, tol).eigenvalues, tol)
+    if tuple(achieved) != tuple(target):
+        raise NoConvergence(
+            f"achieved multiplicity list {tuple(achieved)} differs from the "
+            f"target {tuple(target)}"
         )
-    raise NoConvergence(
-        f"multiplicity split failed after {MAX_TRUST_HALVINGS} shrinkings "
-        f"(last error: {last_error})"
+    report = verify_smp(a_prime, g, tol)
+    if not report.holds:
+        raise PropertyNotPreserved(
+            "realized matrix lost the SMP; the split was too large"
+        )
+    return _result(
+        g.edges, a_prime, "multiplicity_list", tuple(target), tuple(achieved),
+        iterations, residual, trace, report,
     )
 
 
@@ -971,7 +1000,9 @@ def realize_inertia(
 ) -> RealizationResult:
     """Matrix in the graph class with the given partial inertia, reached
     from A by one-at-a-time northeast steps (zero eigenvalue -> +delta or
-    -delta through the SAP map), re-verifying the SAP at every step.
+    -delta through the SAP map), re-verifying the SAP at every step.  The
+    shift delta is half the trust radius of the current matrix, halved
+    each time a step fails.
 
     Positive steps are taken before negative ones; the order does not
     affect reachability since the property is re-verified each time.
@@ -984,9 +1015,7 @@ def realize_inertia(
         raise UnreachableInertia(
             f"inertia ({p_target}, {q_target}) is not feasible for n = {g.n}"
         )
-    base_report = verify_sap(a, g, tol)
-    if not base_report.holds:
-        raise SurjectivityFailure("base matrix does not have the SAP")
+    base_report = _checked_base(None, "sap", lambda: verify_sap(a, g, tol))
     p0, q0 = pin(a, tol)
     if p_target < p0 or q_target < q0:
         raise UnreachableInertia(
@@ -994,29 +1023,10 @@ def realize_inertia(
             f"the base partial inertia ({p0}, {q0})"
         )
 
-    f = sap_map(a, g)
-    cur = a
-    report = base_report
-    total_iters = 0
-    trace: list[float] = []
-    final_residual = 0.0
-    halvings = 0
-    for _step in range(4 * g.n + MAX_TRUST_HALVINGS):
+    def plan(cur, scale):
         p_cur, q_cur = pin(cur, tol)
         if (p_cur, q_cur) == (p_target, q_target):
-            achieved = (p_cur, q_cur)
-            return _result(
-                g.edges,
-                cur,
-                _target_kind,
-                (p_target, q_target) if _target_value is None else _target_value,
-                achieved if _target_kind == "inertia" else p_cur + q_cur,
-                total_iters,
-                final_residual,
-                trace if trace else (0.0,),
-                report,
-            )
-        sign = 1.0 if p_cur < p_target else -1.0
+            return None
         dec = sym_eig(cur, tol)
         zero_thr = eig_zero_threshold(cur, tol)
         zero_idx = [i for i, lam in enumerate(dec.eigenvalues) if abs(lam) <= zero_thr]
@@ -1026,27 +1036,21 @@ def realize_inertia(
                 f"({p_cur}, {q_cur}) cannot reach ({p_target}, {q_target})"
             )
         trust = default_trust_radius(cur) if trust_radius is None else float(trust_radius)
-        delta = 0.5 * trust / (2.0 ** halvings)
         new_lam = dec.eigenvalues.copy()
-        new_lam[zero_idx[0]] = sign * delta
-        m = dec.eigenvectors @ np.diag(new_lam) @ dec.eigenvectors.T
-        m = (m + m.T) / 2.0
-        try:
-            res = solve_to_target(f, m, tol, base_report=report)
-        except (NoConvergence, PatternViolation):
-            halvings += 1
-            if halvings > MAX_TRUST_HALVINGS:
-                raise NoConvergence(
-                    "inertia step failed after repeated shrinkings"
-                ) from None
-            continue
-        cur = res.matrix
-        f = f.rebased(cur)
-        report = res.property_report
-        total_iters += res.iterations
-        final_residual = res.final_residual
-        trace.extend(res.residual_trace)
-    raise NoConvergence("inertia walk did not terminate")
+        new_lam[zero_idx[0]] = (1.0 if p_cur < p_target else -1.0) * (0.5 * trust * scale)
+        return _with_spectrum(dec.eigenvectors, new_lam), False
+
+    # ``scale`` is the driver's trust: a power of two, halved per failure
+    cur, report, iterations, trace, residual = _homotopy(
+        sap_map(a, g), base_report, 1.0, plan, tol, "inertia walk", hops=4 * g.n
+    )
+    # the plan ends the walk only at the target inertia
+    return _result(
+        g.edges, cur, _target_kind,
+        (p_target, q_target) if _target_value is None else _target_value,
+        (p_target, q_target) if _target_kind == "inertia" else p_target + q_target,
+        iterations, residual, trace if trace else (0.0,), report,
+    )
 
 
 def realize_rank(
@@ -1066,11 +1070,10 @@ def realize_rank(
         raise TargetError(
             f"target rank {target_rank} must lie between rank(A) = {r} and n = {g.n}"
         )
-    res = realize_inertia(
+    return realize_inertia(
         a, g, (p0 + (target_rank - r), q0), tol, trust_radius,
         _target_kind="rank", _target_value=target_rank,
     )
-    return res
 
 
 def realize_q(
@@ -1121,27 +1124,20 @@ def realize_q(
             )
         # split the largest cluster (first on ties) into (1, m - 1)
         idx = max(range(q_cur), key=lambda i: clusters[i][1])
+        blocks = [[mult] for _, mult in clusters]
+        blocks[idx] = [1, clusters[idx][1] - 1]
         if mode == "smp":
-            new_list = []
-            for i, (_, mult) in enumerate(clusters):
-                if i == idx:
-                    new_list.extend([1, mult - 1])
-                else:
-                    new_list.append(mult)
+            new_list = [mult for block in blocks for mult in block]
             res = realize_multiplicity_list(
                 cur, g, new_list, tol, trust_radius, base_report=report
             )
         else:
             trust = default_trust_radius(cur) if trust_radius is None else float(trust_radius)
             delta = min(0.25 * _min_cluster_gap(clusters), trust)
-            values: list[float] = []
-            for i, (center, mult) in enumerate(clusters):
-                if i == idx:
-                    values.append(center - delta / 2.0)
-                    values.extend([center + delta / 2.0] * (mult - 1))
-                else:
-                    values.extend([center] * mult)
-            res = realize_spectrum(cur, g, values, tol, trust_radius, base_report=report)
+            res = realize_spectrum(
+                cur, g, _split_values(clusters, blocks, delta), tol, trust_radius,
+                base_report=report,
+            )
         cur = res.matrix
         report = res.property_report
         total_iters += res.iterations
@@ -1392,78 +1388,42 @@ def realize_similar(
     m_target = as_matrix(m_target, "target matrix")
     if m_target.shape != a.shape:
         raise InputError("target shape does not match the base matrix")
-    if base_report is None:
-        base_report = verify_nssp(a, tol, pattern=p)
-    elif base_report.property_name != "nssp":
-        raise InputError(
-            f"base report is for the {base_report.property_name.upper()}, not the nSSP"
-        )
-    if not base_report.holds:
-        raise SurjectivityFailure("base matrix does not have the nSSP")
+    base_report = _checked_base(base_report, "nssp", lambda: verify_nssp(a, tol, pattern=p))
     target_coeffs = char_poly(m_target)
-
-    f = similarity_map(a, p)
-    cur, report = a, base_report
     target = walk = None  # computed when a hop first falls short of m_target
-    trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
-    halvings = 0
-    total_iters = 0
-    trace: list[float] = []
-    for _hop in range(MAX_HOMOTOPY_HOPS):
-        final_hop = fro(m_target - cur) <= trust
-        if final_hop:
-            m = m_target
-        else:
-            if target is None:
-                target_schur = real_schur(m_target)
-                if _has_close_eigenvalues(target_schur, tol):
-                    raise NoConvergence(
-                        "target is farther than the trust radius and has a "
-                        "repeated eigenvalue: the spectral walk would end on "
-                        "its spectrum, which does not fix its similarity class"
-                    )
-                target = _target_spectrum(target_schur)
-            if walk is None:
-                walk = _spectral_walk(real_schur(cur), *target)
-            final_hop = walk.distance <= trust
-            m = walk.waypoint(trust)
-        try:
-            res = solve_to_target(f, m, tol, base_report=report)
-        except (NoConvergence, PatternViolation):
-            halvings += 1
-            trust /= 2.0
-            if halvings > MAX_TRUST_HALVINGS:
+
+    def plan(cur, trust):
+        nonlocal target, walk
+        if fro(m_target - cur) <= trust:
+            return m_target, True
+        if target is None:
+            target_schur = real_schur(m_target)
+            if _has_close_eigenvalues(target_schur, tol):
                 raise NoConvergence(
-                    "similarity homotopy failed after "
-                    f"{MAX_TRUST_HALVINGS} trust-radius halvings"
-                ) from None
-            continue
-        new_cur = res.matrix
-        total_iters += res.iterations
-        trace.extend(res.residual_trace)
-        if final_hop:
-            residual = _char_poly_residual(new_cur, target_coeffs)
-            return _result(
-                p.nonzero_cells(),
-                new_cur,
-                "similar",
-                m_target,
-                residual,
-                total_iters,
-                res.final_residual,
-                trace,
-                res.property_report,
-            )
-        # progress guard: each accepted hop must shorten the spectral path
-        new_walk = _spectral_walk(real_schur(new_cur), *target)
-        if new_walk.distance > walk.distance - 0.1 * trust:
-            halvings += 1
-            trust /= 2.0
-            if halvings > MAX_TRUST_HALVINGS:
-                raise NoConvergence("similarity homotopy stalled") from None
-        cur, report, walk = new_cur, res.property_report, new_walk
-        f = f.rebased(cur)
-    raise NoConvergence("similarity homotopy did not terminate")
+                    "target is farther than the trust radius and has a "
+                    "repeated eigenvalue: the spectral walk would end on "
+                    "its spectrum, which does not fix its similarity class"
+                )
+            target = _target_spectrum(target_schur)
+        if walk is None:
+            walk = _spectral_walk(real_schur(cur), *target)
+        return walk.waypoint(trust), walk.distance <= trust
+
+    def progress(new, trust):
+        # each accepted hop must shorten the spectral path
+        nonlocal walk
+        old, walk = walk, _spectral_walk(real_schur(new), *target)
+        return not walk.distance > old.distance - 0.1 * trust
+
+    trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
+    realized, report, iterations, trace, residual = _homotopy(
+        similarity_map(a, p), base_report, trust, plan, tol, "similarity homotopy",
+        progress=progress,
+    )
+    return _result(
+        p.nonzero_cells(), realized, "similar", m_target,
+        _char_poly_residual(realized, target_coeffs), iterations, residual, trace, report,
+    )
 
 
 def realize_superpattern(
@@ -1478,15 +1438,13 @@ def realize_superpattern(
     Targets M = A + step * E where E carries +-1 at the cells nonzero in
     the superpattern but zero in the base pattern; solving the
     superpattern map leaves exactly those entries in place while the base
-    pattern absorbs the correction B'.  The step auto-shrinks when the
-    realized matrix falls out of the class.
+    pattern absorbs the correction B'.  The step halves until the solve
+    succeeds (one hop of :func:`_homotopy`).
     """
     a = as_matrix(a)
     if not is_superpattern(p_super, p):
         raise NotASuperpattern("second pattern is not a superpattern of the first")
-    base_report = verify_nssp(a, tol, pattern=p)
-    if not base_report.holds:
-        raise SurjectivityFailure("base matrix does not have the nSSP")
+    base_report = _checked_base(None, "nssp", lambda: verify_nssp(a, tol, pattern=p))
     new_cells = [
         (i, j)
         for (i, j) in p_super.nonzero_cells()
@@ -1500,7 +1458,6 @@ def realize_superpattern(
     e = np.zeros_like(a)
     for i, j in new_cells:
         e[i, j] = float(p_super.sign_at(i, j))
-    base_coeffs = char_poly(a)
     s = (
         0.5 * default_trust_radius(a) / math.sqrt(len(new_cells))
         if step is None
@@ -1508,29 +1465,11 @@ def realize_superpattern(
     )
     if s <= 0.0:
         raise InputError("step size must be positive")
-    f = superpattern_map(a, p, p_super)
-    last_error: Exception | None = None
-    for _attempt in range(MAX_TRUST_HALVINGS + 1):
-        m = a + s * e
-        try:
-            res = solve_to_target(f, m, tol, base_report=base_report)
-        except (NoConvergence, PatternViolation) as exc:
-            last_error = exc
-            s /= 2.0
-            continue
-        residual = _char_poly_residual(res.matrix, base_coeffs)
-        return _result(
-            p_super.nonzero_cells(),
-            res.matrix,
-            "superpattern",
-            p_super.to_lines(),
-            residual,
-            res.iterations,
-            res.final_residual,
-            res.residual_trace,
-            res.property_report,
-        )
-    raise NoConvergence(
-        f"superpattern step failed after {MAX_TRUST_HALVINGS} shrinkings "
-        f"(last error: {last_error})"
+    realized, report, iterations, trace, residual = _homotopy(
+        superpattern_map(a, p, p_super), base_report, s,
+        lambda _cur, size: (a + size * e, True), tol, "superpattern step",
+    )
+    return _result(
+        p_super.nonzero_cells(), realized, "superpattern", p_super.to_lines(),
+        _char_poly_residual(realized, char_poly(a)), iterations, residual, trace, report,
     )

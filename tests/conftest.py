@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from strongprops.patterns import Graph, SignPattern
+
+# Property-based tests draw the same examples on every run, with no time
+# limit per example and no example database on disk.
+settings.register_profile("strongprops", deadline=None, derandomize=True, database=None)
+settings.load_profile("strongprops")
 
 
 def adjacency(g: Graph) -> np.ndarray:

@@ -5,7 +5,7 @@ import signal
 import numpy as np
 import pytest
 
-from strongprops import bifurcation
+from strongprops import bifurcation, patterns
 from strongprops.bifurcation import (
     derivative_at,
     evaluate_map,
@@ -241,19 +241,34 @@ class TestSolveToTarget:
             realize_multiplicity_list(twisted_c4, c4, [1, 1, 2], base_report=sap)
 
     def test_rebased_map_shares_bases_and_skips_the_class_check(
-        self, monkeypatch, twisted_c4, c4
+        self, monkeypatch, twisted_c4, c4, example15, example15_pattern
     ):
-        f = ssp_map(twisted_c4, c4)
-        res = solve_to_target(f, twisted_c4 * 1.01)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver built a specification basis")
+
         with monkeypatch.context() as patch:
-            patch.setattr(bifurcation, "matrix_in_graph_class", None)
-            moved = f.rebased(res.matrix)
+            # building, solving and re-basing never build a basis
+            for module in (bifurcation, patterns):
+                for name in dir(module):
+                    if name.endswith("_basis") and callable(getattr(module, name)):
+                        patch.setattr(module, name, refuse)
+            f = ssp_map(twisted_c4, c4)
+            res = solve_to_target(f, twisted_c4 * 1.01)
+            with monkeypatch.context() as no_check:
+                no_check.setattr(bifurcation, "matrix_in_graph_class", None)
+                moved = f.rebased(res.matrix)
+            solve_to_target(moved, res.matrix * 1.01)
+            g = similarity_map(example15, example15_pattern)
+            solve_to_target(g.rebased(example15 * 1.01), example15 * 1.02)
         built = ssp_map(res.matrix, c4)
-        assert moved._b_basis is f._b_basis and moved._second_basis is f._second_basis
         assert np.array_equal(moved.base, built.base)
         params = 0.01 * np.arange(moved.param_dim)
         assert np.array_equal(moved.jacobian(params), built.jacobian(params))
         assert np.array_equal(f.base, twisted_c4)
+        # bases built before a re-basing are shared with the moved map
+        assert f.param_dim == moved.param_dim
+        shared = f.rebased(res.matrix)
+        assert shared._b_basis is f._b_basis and shared._second_basis is f._second_basis
 
     def test_no_convergence_reports_best(self, twisted_c4, c4):
         tight = Tolerances(newton_tol=1e-16, max_iter=2)

@@ -232,6 +232,17 @@ class TestCertifyCommand:
         assert code == 0
         assert "complete" in out
 
+    def test_overflowing_target_is_an_input_error(self, workdir, capsys):
+        huge = workdir / "huge.txt"
+        huge.write_text("1e200 0 0\n")
+        code, _, err = run(
+            capsys,
+            ["certify", workdir / "ex15.pat", workdir / "ex15.mat",
+             "--spectrally-arbitrary", huge],
+        )
+        assert code == 2
+        assert "overflows" in err
+
     def test_hypothesis_failure_prints_norms(self, workdir, capsys):
         bad = workdir / "notnil.mat"
         bad.write_text("-1 1 -1\n-2 2 -2\n-1 1 -2\n")

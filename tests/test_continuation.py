@@ -1,0 +1,155 @@
+"""Every realizer and certificate retry runs through one bounded loop: the
+continuation driver ``bifurcation._homotopy`` or the retry helper
+``arbitrary._first_success``.  These tests pin the bounds by making every
+solve fail."""
+
+import numpy as np
+import pytest
+
+from strongprops import arbitrary, bifurcation
+from strongprops.arbitrary import (
+    certify_inertially_arbitrary,
+    certify_spectrally_arbitrary,
+    raise_nilpotent_index,
+)
+from strongprops.bifurcation import (
+    MAX_TRUST_HALVINGS,
+    realize_inertia,
+    realize_multiplicity_list,
+    realize_similar,
+    realize_spectrum,
+    realize_superpattern,
+    solve_to_target,
+    ssp_map,
+)
+from strongprops.errors import NoConvergence
+from strongprops.numerics import DEFAULT_TOL
+from strongprops.patterns import Graph, SignPattern
+
+
+def _failing(monkeypatch, module, name):
+    """Replace ``module.name`` by a function that records its calls and
+    always raises NoConvergence."""
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise NoConvergence("always fails")
+
+    monkeypatch.setattr(module, name, fail)
+    return calls
+
+
+def _realizer_calls(twisted_c4, c4):
+    nssp_base = np.array([[1.0, 1.0], [1.0, 0.0]])
+    return {
+        "spectrum": lambda: realize_spectrum(twisted_c4, c4, [-3.0, -1.0, 1.0, 3.0]),
+        "multiplicity_list": lambda: realize_multiplicity_list(twisted_c4, c4, [1, 1, 2]),
+        "inertia": lambda: realize_inertia(np.ones((2, 2)), Graph.complete(2), (1, 1)),
+        "similar": lambda: realize_similar(
+            nssp_base, SignPattern.from_matrix(nssp_base), 1.5 * nssp_base
+        ),
+        "superpattern": lambda: realize_superpattern(
+            nssp_base,
+            SignPattern.from_matrix(nssp_base),
+            SignPattern.from_rows([[1, 1], [1, -1]]),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["spectrum", "multiplicity_list", "inertia", "similar", "superpattern"]
+)
+def test_each_realizer_gives_up_after_the_halvings(
+    monkeypatch, kind, twisted_c4, c4
+):
+    run = _realizer_calls(twisted_c4, c4)[kind]
+    calls = _failing(monkeypatch, bifurcation, "solve_to_target")
+    with pytest.raises(NoConvergence, match="trust-radius halvings"):
+        run()
+    assert len(calls) == MAX_TRUST_HALVINGS + 1
+
+
+def test_refused_progress_is_bounded(twisted_c4, c4):
+    refusals = []
+
+    def progress(new, trust):
+        refusals.append(trust)
+        return False
+
+    # every hop re-targets the current matrix, so every solve succeeds
+    with pytest.raises(NoConvergence, match="stalled"):
+        bifurcation._homotopy(
+            ssp_map(twisted_c4, c4), None, 1.0, lambda cur, trust: (cur, False),
+            DEFAULT_TOL, "test walk", progress=progress,
+        )
+    assert len(refusals) == MAX_TRUST_HALVINGS + 1
+    assert refusals == [2.0**-h for h in range(MAX_TRUST_HALVINGS + 1)]
+
+
+def test_unfinished_plan_is_bounded_by_the_hops(twisted_c4, c4):
+    plans = []
+
+    def plan(cur, trust):
+        plans.append(trust)
+        return cur, False
+
+    with pytest.raises(NoConvergence, match="did not terminate"):
+        bifurcation._homotopy(
+            ssp_map(twisted_c4, c4), None, 1.0, plan, DEFAULT_TOL, "test walk", hops=3
+        )
+    assert len(plans) == 3 + MAX_TRUST_HALVINGS
+
+
+def test_driver_solves_each_hop_once_and_rebases(twisted_c4, c4):
+    f = ssp_map(twisted_c4, c4)
+    targets = [1.01 * twisted_c4, 1.02 * twisted_c4]
+    seen = []
+
+    def plan(cur, trust):
+        seen.append(cur)
+        return targets[len(seen) - 1], len(seen) == len(targets)
+
+    matrix, report, _, trace, residual = bifurcation._homotopy(
+        f, None, 1.0, plan, DEFAULT_TOL, "test walk"
+    )
+    assert report.holds and trace[-1] == residual
+    assert np.array_equal(seen[0], twisted_c4)
+    assert np.array_equal(matrix, solve_to_target(f.rebased(seen[1]), targets[1]).matrix)
+
+
+def test_spectral_certificate_tries_each_scale(monkeypatch, example15, example15_pattern):
+    scaled = []
+    nearby = arbitrary.nilpotent_nearby
+
+    def recording(a, spectrum, **kwargs):
+        scaled.append(spectrum.sum_squares())
+        return nearby(a, spectrum, **kwargs)
+
+    monkeypatch.setattr(arbitrary, "nilpotent_nearby", recording)
+    solves = _failing(monkeypatch, arbitrary, "realize_similar")
+    cert = certify_spectrally_arbitrary(example15_pattern, example15, [[1.0, 2.0, 3.0]])
+    assert not cert.complete and cert.evidence[0].detail == "always fails"
+    assert len(scaled) == arbitrary._CERT_SCALE_ATTEMPTS
+    # k doubles per attempt, so the squared moduli shrink by 4
+    assert np.allclose(np.array(scaled[:-1]) / np.array(scaled[1:]), 4.0)
+    rungs = len(arbitrary._CERT_NEWTON_LADDER) + 1
+    assert len(solves) == arbitrary._CERT_SCALE_ATTEMPTS * rungs
+
+
+def test_inertial_certificate_tries_each_shift(monkeypatch):
+    w = np.array([[1.0, -1.0], [1.0, -1.0]])
+    solves = _failing(monkeypatch, arbitrary, "realize_similar")
+    cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
+    assert len(cert.evidence) == 6
+    assert all(not e.ok and e.detail == "always fails" for e in cert.evidence)
+    assert len(solves) == 6 * arbitrary._INERTIA_SHIFT_ATTEMPTS
+
+
+def test_raise_nilpotent_index_gives_up_with_no_convergence(
+    monkeypatch, example15, example15_pattern
+):
+    solves = _failing(monkeypatch, arbitrary, "realize_similar")
+    with pytest.raises(NoConvergence, match="index check failure"):
+        raise_nilpotent_index(example15, example15_pattern)
+    assert len(solves) == arbitrary.MAX_INDEX_ATTEMPTS

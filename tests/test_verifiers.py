@@ -274,7 +274,7 @@ def _integer_instances(draw):
     return sym, square.reshape(n, n), perm, scale
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(_integer_instances())
 def test_verdicts_invariant_under_permutation_and_scaling(instance):
     sym, square, perm, scale = instance
@@ -292,7 +292,7 @@ def test_verdicts_invariant_under_permutation_and_scaling(instance):
     assert (moved.holds, moved.nullspace_dim) == (base.holds, base.nullspace_dim)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(_integer_instances())
 def test_nssp_verdict_invariant_under_transpose(instance):
     # X solves the nSSP system of A exactly when X^T solves that of A^T
