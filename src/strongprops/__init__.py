@@ -29,8 +29,6 @@ from .bifurcation import (
     PerturbationMap,
     RealizationResult,
     default_trust_radius,
-    derivative_at,
-    evaluate_map,
     realize_inertia,
     realize_multiplicity_list,
     realize_q,
@@ -91,7 +89,6 @@ from .patterns import (
     pin,
     refines,
     rin,
-    subspace_basis,
 )
 from .verifiers import (
     StrongPropertyReport,

@@ -103,6 +103,8 @@ class ConjInvariantSpectrum:
                 raise InputError("conjugate pairs must have positive imaginary part")
         if not math.isfinite(self.sum_squares()):
             raise InputError("sum of squared moduli of the spectrum overflows")
+        if not np.all(np.isfinite(self.char_poly())):
+            raise InputError("characteristic polynomial of the spectrum overflows")
 
     @classmethod
     def from_values(cls, values, imag_tol: float = 1e-12) -> "ConjInvariantSpectrum":

@@ -17,8 +17,8 @@ nssp_superpattern   (I + L)^-1 A (I + L) + B               similarity class
 with B ranging over the closed pattern class, K over skew-symmetric
 matrices, L over square matrices with ||L|| < 0.5, and
 p(x) = x + sum c_k x^k a degree-(q-1) correction polynomial.
-:class:`PerturbationMap` keeps these maps and their Jacobians as the
-specification.
+:class:`PerturbationMap` keeps these maps and their Jacobians, one column
+per basis direction, as the specification; the solver evaluates neither.
 
 Solving F(parameters) = M for a nearby target M produces A' = A + B'
 inside the pattern with the same invariant as M.  The solver works in a
@@ -49,7 +49,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -128,11 +128,13 @@ def default_trust_radius(a) -> float:
 
 @dataclass(eq=False)
 class PerturbationMap:
-    """One of the five perturbation maps, with parameter bookkeeping.
+    """One of the five perturbation maps: the kind, base and pattern that
+    a solve works from, and the map itself as the specification.
 
-    Parameters are a flat vector [b-coefficients | K/L-coefficients |
-    polynomial coefficients (smp only)] against orthonormal bases of the
-    pattern space and the skew/full matrix space, built on first use.
+    :meth:`evaluate` is F and :meth:`jacobian` its derivative, at a flat
+    parameter vector [b-coefficients | K/L-coefficients | polynomial
+    coefficients (smp only)] against orthonormal bases of the pattern
+    space and the skew/full matrix space, built on first use.
     """
 
     kind: str
@@ -190,16 +192,11 @@ class PerturbationMap:
         ns = self._second_basis.dim
         return params[:nb], params[nb : nb + ns], params[nb + ns :]
 
-    def _combine(self, basis, coeffs) -> np.ndarray:
-        if basis.dim == 0:
-            return np.zeros((self.n, self.n))
-        return basis.combine(coeffs)
-
     def b_matrix(self, params) -> np.ndarray:
-        return self._combine(self._b_basis, self._unpack(params)[0])
+        return self._b_basis.combine(self._unpack(params)[0])
 
     def second_matrix(self, params) -> np.ndarray:
-        return self._combine(self._second_basis, self._unpack(params)[1])
+        return self._second_basis.combine(self._unpack(params)[1])
 
     # -- evaluation ------------------------------------------------------
 
@@ -213,8 +210,8 @@ class PerturbationMap:
 
     def evaluate(self, params) -> np.ndarray:
         b, s, c = self._unpack(params)
-        bm = self._combine(self._b_basis, b)
-        sm = self._combine(self._second_basis, s)
+        bm = self._b_basis.combine(b)
+        sm = self._second_basis.combine(s)
         if self.kind in ("ssp", "smp"):
             mid = self.base + bm
             if self.kind == "smp":
@@ -236,61 +233,64 @@ class PerturbationMap:
     # -- analytic Jacobian ------------------------------------------------
 
     def jacobian(self, params) -> np.ndarray:
-        """Directional derivatives along every basis direction, stacked as
-        columns of an (n^2 x param_dim) matrix, all built at once from the
-        (dim, n, n) basis stacks.  Analytic at every parameter value.
+        """Directional derivatives along every basis direction, one column
+        per direction, stacked as an (n^2 x param_dim) matrix.  Analytic at
+        every parameter value.
 
-        For ssp/smp the derivative along a skew direction E is
-        e^-K [mid, Psi(E)] e^K, where mid = A + B (or p(A + B)) and
-        Psi(E) = L_exp(K, E) e^-K = int_0^1 e^{sK} E e^{-sK} ds comes from
-        the divided-difference formula in K's eigenbasis (see
-        :func:`_exp_derivative_factor`).  At K = 0, Psi is the identity
-        and no exponential is formed, so J(0) has the exact columns
-        mid E - E mid, the pattern directions and the powers of A + B.
+        For ssp/smp, with mid = A + B (or p(A + B)), a pattern direction E
+        gives e^-K D(E) e^K with D(E) the derivative of mid along E, a skew
+        direction E gives L(-K, -E) mid e^K + e^-K mid L(K, E), where L is
+        the Frechet derivative of the exponential
+        (``scipy.linalg.expm_frechet``; Al-Mohy and Higham, 2009), and a
+        polynomial coefficient c_k gives e^-K (A + B)^k e^K.  At zero
+        parameters the columns are exactly E, mid E - E mid and the powers
+        of A + B.  The sap and nSSP columns follow by the product rule.
         """
         b, s, c = self._unpack(params)
-        bm = self._combine(self._b_basis, b)
-        sm = self._combine(self._second_basis, s)
-        b_dirs, s_dirs = self._b_basis.stack, self._second_basis.stack
+        bm = self._b_basis.combine(b)
+        sm = self._second_basis.combine(s)
+        cols: list[np.ndarray] = []
         if self.kind in ("ssp", "smp"):
             m = self.base + bm
             powers = [np.eye(self.n)]
             for _ in range(self._c_dim - 1):
                 powers.append(powers[-1] @ m)
-            mid = self._poly_apply(m, c) if self.kind == "smp" else m
-            inner = b_dirs
-            for k in range(1, self._c_dim):
-                # derivative of p(M) along the pattern directions
-                if c[k] != 0.0:
-                    term = sum(powers[j] @ b_dirs @ powers[k - 1 - j] for j in range(k))
-                    inner = inner + c[k] * term
-            psi = _exp_derivative_factor(sm, s_dirs)
-            blocks = [inner, mid @ psi - psi @ mid]
-            if self.kind == "smp":
-                blocks.append(np.stack(powers))
-            if sm.any():
-                e_pos = scipy.linalg.expm(sm)
-                e_neg = scipy.linalg.expm(-sm)
-                blocks = [e_neg @ block @ e_pos for block in blocks]
+            mid = self._poly_apply(m, c)
+            e_pos = scipy.linalg.expm(sm)
+            e_neg = scipy.linalg.expm(-sm)
+            for direction in self._b_basis.matrices:
+                inner = direction
+                for k in range(1, self._c_dim):
+                    # derivative of p(A + B) along the pattern direction
+                    if c[k] != 0.0:
+                        term = sum(powers[j] @ direction @ powers[k - 1 - j] for j in range(k))
+                        inner = inner + c[k] * term
+                cols.append(e_neg @ inner @ e_pos)
+            for direction in self._second_basis.matrices:
+                _, d_pos = scipy.linalg.expm_frechet(sm, direction)
+                _, d_neg = scipy.linalg.expm_frechet(-sm, -direction)
+                cols.append(d_neg @ mid @ e_pos + e_neg @ mid @ d_pos)
+            cols.extend(e_neg @ power @ e_pos for power in powers[: self._c_dim])
         elif self.kind == "sap":
             m = self.base + bm
             s_mat = np.eye(self.n) + sm
-            blocks = [
-                s_mat.T @ b_dirs @ s_mat,
-                s_dirs.transpose(0, 2, 1) @ m @ s_mat + s_mat.T @ m @ s_dirs,
-            ]
+            for direction in self._b_basis.matrices:
+                cols.append(s_mat.T @ direction @ s_mat)
+            for direction in self._second_basis.matrices:
+                cols.append(direction.T @ m @ s_mat + s_mat.T @ m @ direction)
         else:
             s_mat = np.eye(self.n) + sm
             s_inv = np.linalg.inv(s_mat)
             if self.kind == "nssp_similar":
                 m = self.base + bm
-                b_cols = s_inv @ b_dirs @ s_mat
+                cols.extend(s_inv @ direction @ s_mat for direction in self._b_basis.matrices)
             else:
                 m = self.base
-                b_cols = b_dirs
+                cols.extend(self._b_basis.matrices)
             f0 = s_inv @ m @ s_mat
-            blocks = [b_cols, -s_inv @ s_dirs @ f0 + s_inv @ m @ s_dirs]
-        return np.concatenate(blocks).reshape(-1, self.n * self.n).T
+            for direction in self._second_basis.matrices:
+                cols.append(-s_inv @ direction @ f0 + s_inv @ m @ direction)
+        return np.column_stack([col.reshape(-1) for col in cols])
 
     # -- class checks ------------------------------------------------------
 
@@ -334,29 +334,6 @@ class PerturbationMap:
         return self.recheck(self.base, tol)
 
 
-def _exp_derivative_factor(k: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Psi(E) = L_exp(K, E) e^-K = int_0^1 e^{sK} E e^{-sK} ds for a skew K,
-    for every E in the (d, n, n) stack ``directions``.
-
-    With K = V diag(lambda) V^H, Psi(E) = V (phi o V^H E V) V^H where
-    phi_ij = expm1(lambda_i - lambda_j) / (lambda_i - lambda_j), and 1 where
-    the eigenvalues coincide (Daleckii-Krein; Higham, Functions of Matrices,
-    2008, sec. 3.2).  The eigenvalues of a skew K are imaginary: with
-    lambda_i - lambda_j = i theta_ij, phi_ij = sin(theta)/theta +
-    i (1 - cos(theta))/theta, evaluated as sinc(theta) +
-    i (theta/2) sinc(theta/2)^2 (unnormalized sinc), which has no
-    cancellation at small gaps and is exactly 1 at theta = 0.  At K = 0 the
-    stack is returned as it is.
-    """
-    if not k.any():
-        return directions
-    mu, v = np.linalg.eigh(1j * k)  # K = V diag(-i mu) V^H
-    theta = mu[None, :] - mu[:, None]
-    phi = np.sinc(theta / np.pi) + 0.5j * theta * np.sinc(theta / (2.0 * np.pi)) ** 2
-    vh = v.conj().T
-    return (v @ (phi * (vh @ directions @ v)) @ vh).real
-
-
 def ssp_map(a, g: Graph) -> PerturbationMap:
     a = symmetrize(a)
     if not matrix_in_graph_class(a, g):
@@ -395,16 +372,6 @@ def superpattern_map(a, p: SignPattern, p_super: SignPattern) -> PerturbationMap
     return PerturbationMap(
         kind="nssp_superpattern", base=a, pattern=p, super_pattern=p_super
     )
-
-
-def evaluate_map(f: PerturbationMap, params) -> np.ndarray:
-    """Value of the perturbation map at the given flat parameter vector."""
-    return f.evaluate(params)
-
-
-def derivative_at(f: PerturbationMap, params) -> np.ndarray:
-    """Analytic Jacobian (n^2 x param_dim) of the map at the parameters."""
-    return f.jacobian(params)
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +962,6 @@ def realize_inertia(
     target: tuple[int, int],
     tol: Tolerances = DEFAULT_TOL,
     trust_radius: float | None = None,
-    _target_kind: str = "inertia",
-    _target_value=None,
 ) -> RealizationResult:
     """Matrix in the graph class with the given partial inertia, reached
     from A by one-at-a-time northeast steps (zero eigenvalue -> +delta or
@@ -1046,9 +1011,7 @@ def realize_inertia(
     )
     # the plan ends the walk only at the target inertia
     return _result(
-        g.edges, cur, _target_kind,
-        (p_target, q_target) if _target_value is None else _target_value,
-        (p_target, q_target) if _target_kind == "inertia" else p_target + q_target,
+        g.edges, cur, "inertia", (p_target, q_target), (p_target, q_target),
         iterations, residual, trace if trace else (0.0,), report,
     )
 
@@ -1070,10 +1033,9 @@ def realize_rank(
         raise TargetError(
             f"target rank {target_rank} must lie between rank(A) = {r} and n = {g.n}"
         )
-    return realize_inertia(
-        a, g, (p0 + (target_rank - r), q0), tol, trust_radius,
-        _target_kind="rank", _target_value=target_rank,
-    )
+    res = realize_inertia(a, g, (p0 + (target_rank - r), q0), tol, trust_radius)
+    p, q = res.achieved
+    return replace(res, target_kind="rank", target=target_rank, achieved=p + q)
 
 
 def realize_q(

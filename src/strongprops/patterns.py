@@ -293,8 +293,8 @@ class PatternBasis:
 
     ``ambient_dim`` is the dimension of the ambient space the subspace
     lives in (n^2 for all of M_n, n(n+1)/2 for symmetric, ...).
-    ``stack`` holds the basis matrices as one (dim, n, n) array, built
-    once, so that combinations and Jacobians work on all of them at once.
+    ``stack`` holds the basis matrices as one (dim, n, n) array.  The
+    combination of an empty basis is the zero matrix.
     """
 
     ambient_dim: int
@@ -313,8 +313,6 @@ class PatternBasis:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.dim,):
             raise InputError(f"expected {self.dim} coefficients, got {coeffs.shape}")
-        if self.dim == 0:
-            raise InputError("cannot combine an empty basis")
         return np.einsum("k,kij->ij", coeffs, self.stack)
 
     def coefficients_of(self, a: np.ndarray) -> np.ndarray:
@@ -366,11 +364,6 @@ def full_basis(n: int) -> PatternBasis:
     return PatternBasis(ambient_dim=n * n, stack=stack)
 
 
-def hollow_symmetric_basis(n: int) -> PatternBasis:
-    """Symmetric matrices with zero diagonal."""
-    return PatternBasis(ambient_dim=n * (n + 1) // 2, stack=_basis_stack(n, pairs=_upper_pairs(n)))
-
-
 def graph_closure_basis(g: Graph) -> PatternBasis:
     """Closure of the graph class: diagonal free, off-diagonal supported on
     edges.  Dimension n + |E|."""
@@ -397,39 +390,6 @@ def sign_tangent_basis(p: SignPattern) -> PatternBasis:
     """Tangent space of the sign class: free on nonzero cells, zero
     elsewhere.  Dimension = number of nonzero cells."""
     return cell_basis(p.n, p.nonzero_cells())
-
-
-def subspace_basis(
-    kind: str,
-    n: int | None = None,
-    graph: Graph | None = None,
-    pattern: SignPattern | None = None,
-) -> PatternBasis:
-    """Dispatcher over the named subspace kinds.
-
-    kind in {"graph_closure", "sign_tangent", "symmetric", "skew", "full",
-    "hollow_symmetric"}; graph_closure needs ``graph``, sign_tangent needs
-    ``pattern``, the rest need ``n``.
-    """
-    if kind == "graph_closure":
-        if graph is None:
-            raise InputError("graph_closure basis needs a graph")
-        return graph_closure_basis(graph)
-    if kind == "sign_tangent":
-        if pattern is None:
-            raise InputError("sign_tangent basis needs a sign pattern")
-        return sign_tangent_basis(pattern)
-    if n is None or n < 1:
-        raise InputError(f"{kind} basis needs n >= 1")
-    builders = {
-        "symmetric": symmetric_basis,
-        "skew": skew_basis,
-        "full": full_basis,
-        "hollow_symmetric": hollow_symmetric_basis,
-    }
-    if kind not in builders:
-        raise InputError(f"unknown subspace kind {kind!r}")
-    return builders[kind](n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from strongprops.arbitrary import (
     raise_nilpotent_index,
 )
 from strongprops.bifurcation import (
-    derivative_at,
-    evaluate_map,
     realize_inertia,
     realize_multiplicity_list,
     realize_q,
@@ -149,7 +147,7 @@ def test_03_surjectivity_iff_property():
     violations = 0
     for kind in ("ssp", "smp", "sap", "nssp_similar", "nssp_superpattern"):
         for pmap, report in _map_instances(rng, kind, 100):
-            jac = derivative_at(pmap, pmap.zero_params())
+            jac = pmap.jacobian(pmap.zero_params())
             surjective = rank(jac) == pmap.ambient_dim
             if surjective != report.holds:
                 violations += 1
@@ -170,13 +168,13 @@ def test_04_jacobian_finite_differences():
     for kind in ("ssp", "smp", "sap", "nssp_similar", "nssp_superpattern"):
         for pmap, _report in _map_instances(rng, kind, 10):
             params = rng.normal(size=pmap.param_dim) * 0.05
-            jac = derivative_at(pmap, params)
+            jac = pmap.jacobian(params)
             for t in range(pmap.param_dim):
                 e = np.zeros(pmap.param_dim)
                 e[t] = 1.0
                 fd = (
-                    evaluate_map(pmap, params + h * e)
-                    - evaluate_map(pmap, params - h * e)
+                    pmap.evaluate(params + h * e)
+                    - pmap.evaluate(params - h * e)
                 ) / (2.0 * h)
                 err = np.linalg.norm(jac[:, t] - fd.reshape(-1))
                 worst = max(worst, err / max(1.0, float(np.linalg.norm(fd))))

@@ -7,8 +7,6 @@ import pytest
 
 from strongprops import bifurcation, patterns
 from strongprops.bifurcation import (
-    derivative_at,
-    evaluate_map,
     realize_inertia,
     realize_multiplicity_list,
     realize_q,
@@ -79,14 +77,14 @@ class TestMapEvaluation:
     def test_zero_parameters_return_base_exactly(self):
         rng = np.random.default_rng(30)
         for pmap in all_maps_for(rng):
-            assert np.array_equal(evaluate_map(pmap, pmap.zero_params()), pmap.base)
+            assert np.array_equal(pmap.evaluate(pmap.zero_params()), pmap.base)
 
     def test_orthogonal_conjugation_preserves_spectrum(self, twisted_c4, c4):
         rng = np.random.default_rng(31)
         pmap = ssp_map(twisted_c4, c4)
         params = pmap.zero_params()
         params[pmap._b_basis.dim :] = rng.normal(size=pmap._second_basis.dim) * 0.3
-        out = evaluate_map(pmap, params)
+        out = pmap.evaluate(params)
         assert np.max(np.abs(
             np.linalg.eigvalsh(out) - np.linalg.eigvalsh(twisted_c4)
         )) <= 1e-10
@@ -96,7 +94,7 @@ class TestMapEvaluation:
         pmap = sap_map(twisted_c4, c4)
         params = pmap.zero_params()
         params[pmap._b_basis.dim :] = pmap._second_basis.coefficients_of(0.1 * np.eye(4))
-        out = evaluate_map(pmap, params)
+        out = pmap.evaluate(params)
         assert np.allclose(out, 1.21 * twisted_c4, atol=1e-12)
 
     def test_map_identities(self):
@@ -106,7 +104,7 @@ class TestMapEvaluation:
         for pmap in all_maps_for(rng):
             params = rng.normal(size=pmap.param_dim) * 0.05
             b = pmap.b_matrix(params)
-            out = evaluate_map(pmap, params)
+            out = pmap.evaluate(params)
             if pmap.kind in ("ssp",):
                 ref = np.linalg.eigvalsh(pmap.base + b)
                 assert np.max(np.abs(np.linalg.eigvalsh(out) - ref)) <= 1e-10
@@ -125,7 +123,7 @@ class TestMapEvaluation:
         params = pmap.zero_params()
         params[pmap._b_basis.dim] = 0.9  # one L-coefficient past the cap
         with pytest.raises(InputError):
-            evaluate_map(pmap, params)
+            pmap.evaluate(params)
 
 
 class TestDerivatives:
@@ -134,13 +132,13 @@ class TestDerivatives:
         h = 1e-5
         for pmap in all_maps_for(rng):
             params = rng.normal(size=pmap.param_dim) * 0.05
-            jac = derivative_at(pmap, params)
+            jac = pmap.jacobian(params)
             for t in rng.choice(pmap.param_dim, size=min(6, pmap.param_dim), replace=False):
                 e = np.zeros(pmap.param_dim)
                 e[t] = 1.0
                 fd = (
-                    evaluate_map(pmap, params + h * e)
-                    - evaluate_map(pmap, params - h * e)
+                    pmap.evaluate(params + h * e)
+                    - pmap.evaluate(params - h * e)
                 ) / (2.0 * h)
                 denom = max(1.0, float(np.linalg.norm(fd)))
                 assert (
@@ -151,12 +149,12 @@ class TestDerivatives:
         rng = np.random.default_rng(34)
         g = Graph.complete(3)
         pmap = ssp_map(random_in_graph_class(rng, g), g)
-        jac = derivative_at(pmap, pmap.zero_params())
+        jac = pmap.jacobian(pmap.zero_params())
         assert rank(jac) == 6  # n(n+1)/2
 
     def test_example15_similarity_rank(self, example15, example15_pattern):
         pmap = similarity_map(example15, example15_pattern)
-        jac = derivative_at(pmap, pmap.zero_params())
+        jac = pmap.jacobian(pmap.zero_params())
         assert rank(jac) == 9  # the 9 pattern directions already span M_3
 
     def test_surjectivity_matches_verifier(self):
@@ -166,7 +164,7 @@ class TestDerivatives:
             g = random_graph(rng, n)
             a = random_in_graph_class(rng, g)
             pmap = ssp_map(a, g)
-            surjective = rank(derivative_at(pmap, pmap.zero_params())) == pmap.ambient_dim
+            surjective = rank(pmap.jacobian(pmap.zero_params())) == pmap.ambient_dim
             assert surjective == verify_ssp(a, g).holds
 
 

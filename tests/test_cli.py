@@ -243,6 +243,19 @@ class TestCertifyCommand:
         assert code == 2
         assert "overflows" in err
 
+    def test_overflowing_char_poly_is_an_input_error(self, workdir, capsys):
+        # the squared moduli stay finite, the constant coefficient -1e360 does not
+        huge = workdir / "huge.txt"
+        huge.write_text("1e120 1e120 1e120\n")
+        code, out, err = run(
+            capsys,
+            ["certify", workdir / "ex15.pat", workdir / "ex15.mat",
+             "--spectrally-arbitrary", huge, "--json"],
+        )
+        assert code == 2
+        assert "characteristic polynomial" in err and "overflows" in err
+        assert "NaN" not in out and "Warning" not in err
+
     def test_hypothesis_failure_prints_norms(self, workdir, capsys):
         bad = workdir / "notnil.mat"
         bad.write_text("-1 1 -1\n-2 2 -2\n-1 1 -2\n")

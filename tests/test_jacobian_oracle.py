@@ -1,82 +1,43 @@
-"""The batched Jacobian against the per-direction Frechet-derivative oracle.
+"""The specification's Jacobian against central differences of the map.
 
-``reference_jacobian`` is the direct transcription of each map's
+``PerturbationMap.jacobian`` is the direct transcription of each map's
 derivative: one column per basis direction, with the matrix-exponential
-directions differentiated by two ``scipy.linalg.expm_frechet`` calls (Al-Mohy
-and Higham, 2009).  ``PerturbationMap.jacobian`` builds all columns at once
-and differentiates e^K through the divided-difference formula in K's
-eigenbasis.  On a seeded corpus of all five map kinds (n = 2-12, ||K||_2 up
-to 3, skew parameters with repeated eigenvalues) the two must agree:
+directions differentiated by ``scipy.linalg.expm_frechet`` (Al-Mohy and
+Higham, 2009).  On a seeded corpus of all five map kinds (n = 2-12,
+||K||_2 up to 3, skew parameters with repeated eigenvalues):
 
-* J(0) bitwise for every kind;
-* J(p) bitwise for sap and both nSSP maps, whose basis entries are 0 and 1;
-* J(p) to 1e-13 relative for ssp and smp.
+* J(0) equals its exact columns bitwise: the pattern directions E, then
+  A E - E A (ssp, smp and both nSSP maps) or E^T A + A E (sap) along the
+  second basis, then the powers of A (smp);
+* at every parameter vector, 8 sampled columns of J(p) match central
+  differences of ``evaluate`` to 1e-6 relative.
 """
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
-import scipy.linalg
 
 from strongprops.bifurcation import PerturbationMap
 from strongprops.patterns import Graph, SignPattern
 
-RTOL_EXP = 1e-13
+FD_STEP = 1e-5
+FD_RTOL = 1e-6
+SAMPLED_COLUMNS = 8
 
 
-def reference_jacobian(f: PerturbationMap, params) -> np.ndarray:
-    """Column-by-column Jacobian of ``f``, one basis direction at a time."""
-    b, s, c = f._unpack(params)
-    bm = f._combine(f._b_basis, b)
-    sm = f._combine(f._second_basis, s)
-    cols: list[np.ndarray] = []
-    if f.kind in ("ssp", "smp"):
-        m = f.base + bm
-        powers = [np.eye(f.n)]
-        for _ in range(max(f._c_dim - 1, 0)):
-            powers.append(powers[-1] @ m)
-        mid = f._poly_apply(m, c) if f.kind == "smp" else m
-        e_pos = scipy.linalg.expm(sm)
-        e_neg = scipy.linalg.expm(-sm)
-        for direction in f._b_basis.matrices:
-            inner = direction
-            if f.kind == "smp":
-                inner = direction.copy()
-                for k in range(1, f._c_dim):
-                    if c[k] == 0.0:
-                        continue
-                    term = sum(
-                        powers[j] @ direction @ powers[k - 1 - j] for j in range(k)
-                    )
-                    inner = inner + c[k] * term
-            cols.append(e_neg @ inner @ e_pos)
-        for direction in f._second_basis.matrices:
-            _, d_pos = scipy.linalg.expm_frechet(sm, direction)
-            _, d_neg = scipy.linalg.expm_frechet(-sm, -direction)
-            cols.append(d_neg @ mid @ e_pos + e_neg @ mid @ d_pos)
-        for k in range(f._c_dim):
-            cols.append(e_neg @ powers[k] @ e_pos)
-    elif f.kind == "sap":
-        m = f.base + bm
-        s_mat = np.eye(f.n) + sm
-        for direction in f._b_basis.matrices:
-            cols.append(s_mat.T @ direction @ s_mat)
-        for direction in f._second_basis.matrices:
-            cols.append(direction.T @ m @ s_mat + s_mat.T @ m @ direction)
-    else:
-        s_mat = np.eye(f.n) + sm
-        s_inv = np.linalg.inv(s_mat)
-        m = f.base + bm if f.kind == "nssp_similar" else f.base
-        f0 = s_inv @ m @ s_mat
-        for direction in f._b_basis.matrices:
-            cols.append(
-                s_inv @ direction @ s_mat if f.kind == "nssp_similar" else direction
-            )
-        for direction in f._second_basis.matrices:
-            cols.append(-s_inv @ direction @ f0 + s_inv @ m @ direction)
-    if not cols:
-        return np.zeros((f.n * f.n, 0))
+def exact_jacobian_at_zero(f: PerturbationMap) -> np.ndarray:
+    """The columns of J(0), written out for the base A."""
+    a = f.base
+    cols = list(f._b_basis.matrices)
+    for e in f._second_basis.matrices:
+        cols.append(e.T @ a + a @ e if f.kind == "sap" else a @ e - e @ a)
+    power = np.eye(f.n)
+    for _ in range(f._c_dim):
+        cols.append(power)
+        power = power @ a
     return np.column_stack([col.reshape(-1) for col in cols])
 
 
@@ -176,22 +137,26 @@ CORPUS = _maps(20240)
 
 @pytest.mark.parametrize("label,f,params", CORPUS, ids=[c[0] for c in CORPUS])
 def test_jacobian_matches_frechet_oracle(label, f, params):
-    zero = f.zero_params()
-    assert np.array_equal(f.jacobian(zero), reference_jacobian(f, zero)), label
+    """J(0) is exact, and sampled columns of J(p) are central differences."""
+    assert np.array_equal(f.jacobian(f.zero_params()), exact_jacobian_at_zero(f)), label
+    rng = np.random.default_rng(zlib.crc32(label.encode()))
     for p in params:
-        got, want = f.jacobian(p), reference_jacobian(f, p)
-        assert got.shape == want.shape == (f.n * f.n, f.param_dim)
-        if f.kind in ("ssp", "smp"):
-            scale = max(float(np.max(np.abs(want))), 1.0)
-            assert float(np.max(np.abs(got - want))) <= RTOL_EXP * scale, label
-        else:
-            assert np.array_equal(got, want), label
+        jac = f.jacobian(p)
+        assert jac.shape == (f.n * f.n, f.param_dim)
+        columns = rng.choice(f.param_dim, size=min(SAMPLED_COLUMNS, f.param_dim), replace=False)
+        for t in columns:
+            e = np.zeros(f.param_dim)
+            e[t] = FD_STEP
+            fd = ((f.evaluate(p + e) - f.evaluate(p - e)) / (2.0 * FD_STEP)).reshape(-1)
+            err = float(np.linalg.norm(jac[:, t] - fd)) / max(1.0, float(np.linalg.norm(fd)))
+            assert err <= FD_RTOL, (label, int(t), err)
 
 
 def test_corpus_covers_repeated_skew_eigenvalues():
     """The corpus really holds skew parameters with repeated eigenvalues and
-    spectral norms up to about 3: the phi = 1 branch of the formula and its
-    accuracy at large K depend on them."""
+    spectral norms up to about 3, where a faster form of the exponential's
+    derivative (divided differences in K's eigenbasis, say) is least
+    accurate, so the specification is checked there."""
     repeated, largest = 0, 0.0
     for _label, f, params in CORPUS:
         if f.kind != "ssp":

@@ -9,6 +9,7 @@ from strongprops.patterns import (
     cycle_spectrum_admissible,
     edge_span_basis,
     format_matrix,
+    full_basis,
     graph_closure_basis,
     inertia,
     is_superpattern,
@@ -22,7 +23,9 @@ from strongprops.patterns import (
     refinement_blocks,
     refines,
     rin,
-    subspace_basis,
+    sign_tangent_basis,
+    skew_basis,
+    symmetric_basis,
 )
 
 from conftest import adjacency, random_graph
@@ -129,33 +132,33 @@ class TestSubspaceBases:
         rng = np.random.default_rng(6)
         for n in range(1, 9):
             g = random_graph(rng, n)
-            assert subspace_basis("graph_closure", graph=g).dim == n + g.num_edges
-            assert subspace_basis("symmetric", n=n).dim == n * (n + 1) // 2
-            assert subspace_basis("skew", n=n).dim == n * (n - 1) // 2
-            assert subspace_basis("full", n=n).dim == n * n
-            assert subspace_basis("hollow_symmetric", n=n).dim == n * (n - 1) // 2
+            assert graph_closure_basis(g).dim == n + g.num_edges
+            assert symmetric_basis(n).dim == n * (n + 1) // 2
+            assert skew_basis(n).dim == n * (n - 1) // 2
+            assert full_basis(n).dim == n * n
+            assert edge_span_basis(g).dim == g.num_edges
             cells = [
                 [int(rng.random() < 0.5) * (1 if rng.random() < 0.5 else -1) for _ in range(n)]
                 for _ in range(n)
             ]
             p = SignPattern.from_rows(cells)
-            assert subspace_basis("sign_tangent", pattern=p).dim == len(p.nonzero_cells())
+            assert sign_tangent_basis(p).dim == len(p.nonzero_cells())
 
     def test_examples(self):
         assert graph_closure_basis(Graph.from_edges(2, [(0, 1)])).dim == 3
-        assert subspace_basis("skew", n=3).dim == 3
+        assert skew_basis(3).dim == 3
         p = SignPattern.from_rows([[-1, 1, -1], [-1, 1, -1], [-1, 1, -1]])
-        assert subspace_basis("sign_tangent", pattern=p).dim == 9
+        assert sign_tangent_basis(p).dim == 9
 
     def test_orthonormality(self):
         rng = np.random.default_rng(7)
         for n in (2, 4, 6):
             g = random_graph(rng, n)
             for basis in (
-                subspace_basis("graph_closure", graph=g),
-                subspace_basis("symmetric", n=n),
-                subspace_basis("skew", n=n),
-                subspace_basis("full", n=n),
+                graph_closure_basis(g),
+                symmetric_basis(n),
+                skew_basis(n),
+                full_basis(n),
             ):
                 mats = basis.matrices
                 gram = np.array(
@@ -176,10 +179,6 @@ class TestSubspaceBases:
         for b in edge_span_basis(g.complement()).matrices:
             assert np.all(np.diag(b) == 0.0)
             assert np.allclose(b, b.T)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            subspace_basis("diagonal", n=2)
 
 
 class TestMultiplicityLists:

@@ -1,0 +1,92 @@
+"""Digest of every op's output on one benchmark deck, for bitwise comparisons.
+
+Usage (from the repository root):
+
+    python3 tools/deck_digest.py --workload realize --seed 1
+    python3 tools/deck_digest.py --workload pipelines --seed 66
+
+Builds the deck of ``bench/decks.py`` for the workload and seed in a
+temporary directory and runs each op once, in the order that ``build``
+returns.  It prints one line per op (index, kind, whether the benchmark's
+check accepts the output, SHA-256 of the output) and a last line with the
+SHA-256 of all the op digests.  The output hashed is:
+
+realize
+    the realized matrix's bytes and ``json.dumps(result.as_dict(),
+    sort_keys=True)``;
+pipelines
+    the exit code, standard output and standard error of ``cli.main``, with
+    the temporary directory replaced by a fixed token;
+
+or, when an op raises, the exception's type and message.  Two checkouts
+give the same outputs on a deck exactly when their digests agree.  The
+package is imported from this checkout's ``src``; ``bench`` is only read.
+
+The BLAS pool is pinned to one thread before numpy is imported, as in
+``bench/run.py``.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import decks  # noqa: E402
+
+TMP_TOKEN = "<tmpdir>"
+
+
+def output_bytes(workload: str, result, workdir: str) -> bytes:
+    if workload == "realize":
+        text = json.dumps(result.as_dict(), sort_keys=True)
+        return result.matrix.tobytes() + text.encode()
+    code, out, err = result
+    text = "\0".join([str(code), out, err]).replace(workdir, TMP_TOKEN)
+    return text.encode()
+
+
+def digest(workload: str, seed: int) -> list[str]:
+    lines, total = [], hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        deck, _warm = decks.build(workload, seed, workdir)
+        for index, op in enumerate(deck):
+            status = "ok"
+            try:
+                result = op.run()
+            except Exception as exc:  # the op failed: its error is its output
+                status = "raised"
+                data = f"{type(exc).__name__}: {exc}".replace(workdir, TMP_TOKEN).encode()
+            else:
+                data = output_bytes(workload, result, workdir)
+                try:
+                    op.check(result)
+                except (decks.Declined, decks.Wrong) as exc:
+                    status = type(exc).__name__.lower()
+            sha = hashlib.sha256(data).hexdigest()
+            total.update(sha.encode())
+            lines.append(f"{index} {op.kind} {status} {sha}")
+    lines.append(f"total {total.hexdigest()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=("realize", "pipelines"), required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    print("\n".join(digest(args.workload, args.seed)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
