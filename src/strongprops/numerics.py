@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError, StrongPropsError
+from .errors import InputError, InternalCheckError, StrongPropsError
 
 #: Relative asymmetry above which a "symmetric" input is rejected.
 SYMMETRY_RTOL = 1e-10
@@ -195,37 +195,78 @@ def real_schur(a) -> RealSchurForm:
     return RealSchurForm(orthogonal=q, quasi_triangular=t)
 
 
-def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank: count of singular values above rank_tol * sigma_max."""
+def _direct_sum_spectra(a: np.ndarray, blocks):
+    """Values-only singular values of the blocks of ``a``, batched by shape.
+
+    ``blocks`` = (row labels, column labels) makes ``a`` a permuted direct
+    sum: one block per column label, with the rows of that label (maybe
+    none).  Returns, per block shape m x n, the blocks (k x m x n), their
+    column indices (k x n) and singular values.  A nonzero outside the
+    blocks raises :class:`InternalCheckError`, so an assembly error shows
+    instead of being split away."""
+    row_labels, col_labels = blocks
+    if np.any(a[row_labels[:, None] != col_labels[None, :]]):
+        raise InternalCheckError("a nonzero entry lies outside the direct-sum blocks")
+    row_order = np.argsort(row_labels, kind="stable")
+    col_order = np.argsort(col_labels, kind="stable")
+    labels, col_start, widths = np.unique(
+        col_labels[col_order], return_index=True, return_counts=True
+    )
+    row_start = np.searchsorted(row_labels[row_order], labels)
+    heights = np.searchsorted(row_labels[row_order], labels, side="right") - row_start
+    groups = []
+    for height, width in sorted(set(zip(heights.tolist(), widths.tolist()))):
+        pick = (heights == height) & (widths == width)
+        rows = row_order[row_start[pick][:, None] + np.arange(height)]
+        cols = col_order[col_start[pick][:, None] + np.arange(width)]
+        stack = a[rows[:, :, None], cols[:, None, :]]
+        groups.append((stack, cols, np.linalg.svd(stack, compute_uv=False)))
+    return groups
+
+
+def rank(a, tol: Tolerances = DEFAULT_TOL, blocks=None) -> int:
+    """Numerical rank: count of singular values above rank_tol * sigma_max,
+    block by block when ``blocks`` makes ``a`` a permuted direct sum (see
+    :func:`_direct_sum_spectra`), against the threshold of the whole matrix."""
     a = as_matrix(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_tol * smax))
+    values = [np.linalg.svd(a, compute_uv=False)] if blocks is None else [
+        s for _, _, s in _direct_sum_spectra(a, blocks)]
+    thr = tol.rank_tol * max(float(s.max(initial=0.0)) for s in values)
+    return sum(int(np.count_nonzero(s > thr)) for s in values)
 
 
-def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and an orthonormal basis (columns) of the numerical
-    nullspace, from one SVD.
-
-    The SVD is thin unless ``a`` has fewer rows than columns, when the full
-    V is needed for the directions no row reaches.  The all-zero matrix has
-    nullspace dimension equal to its column count.
-    """
+def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL, blocks=None) -> tuple[int, np.ndarray, float]:
+    """Nullspace dimension, orthonormal null vectors (columns) and smallest
+    singular value of ``a`` (0 if some block is wide, inf with no columns),
+    its rank decided as by :func:`rank` from values-only SVDs.  Only the
+    first block with a null direction gets singular vectors (the full V
+    when it is wide); its null vectors are returned, embedded."""
     a = as_matrix(a)
     m, n = a.shape
     if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if m == 0:
-        return np.zeros(0), np.eye(n)
-    _, s, vt = np.linalg.svd(a, full_matrices=m < n)
-    if s[0] == 0.0:
-        return s, np.eye(n)
-    s_full = np.concatenate([s, np.zeros(n - len(s))])
-    return s, vt[s_full <= tol.rank_tol * s[0]].T
+        return 0, np.zeros((0, 0)), float("inf")
+    if blocks is None:
+        s = np.linalg.svd(a, compute_uv=False)
+        r = int(np.count_nonzero(s > tol.rank_tol * s[0])) if m else 0
+        basis = np.linalg.svd(a, full_matrices=m < n)[2][r:].T if r < n else np.zeros((n, 0))
+        return n - r, basis, float(s[-1]) if m >= n else 0.0
+    groups = _direct_sum_spectra(a, blocks)
+    thr = tol.rank_tol * max(float(s.max(initial=0.0)) for _, _, s in groups)
+    null_dim, basis = 0, np.zeros((n, 0))
+    for stack, cols, s in groups:
+        _, height, width = stack.shape
+        ranks = (s > thr).sum(axis=1)
+        null_dim += cols.size - int(ranks.sum())
+        if null_dim and not basis.size:
+            k = int(np.argmax(ranks < width))
+            vt = np.linalg.svd(stack[k], full_matrices=height < width)[2]
+            basis = np.zeros((n, width - ranks[k]))
+            basis[cols[k]] = vt[ranks[k]:].T
+    if any(stack.shape[1] < stack.shape[2] for stack, _, _ in groups):
+        return null_dim, basis, 0.0
+    return null_dim, basis, min(float(s[:, -1].min()) for _, _, s in groups)
 
 
 def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
@@ -233,8 +274,8 @@ def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
 
     The all-zero matrix has nullspace dimension equal to its column count.
     """
-    _, basis = svd_nullspace(a, tol)
-    return basis.shape[1], basis
+    dim, basis, _ = svd_nullspace(a, tol)
+    return dim, basis
 
 
 def lstsq_min_norm(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

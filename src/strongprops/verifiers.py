@@ -18,8 +18,8 @@ Both systems are index slices of a Kronecker matrix.  In row-major vec,
 vec(WX - XW) = C vec(X) with C = W (x) I - I (x) W^T and vec(WX) = D vec(X)
 with D = W (x) I, so the image of the matrix unit E_ij is column i*n + j.
 The constrained subspaces are spanned by matrix units on the zero cells
-(nSSP) or by pairs E_ij + E_ji on the non-edges (SSP, SMP, SAP).  Two exact
-identities shrink the systems:
+(nSSP) or by pairs E_ij + E_ji on the non-edges (SSP, SMP, SAP).  Three
+exact identities shrink the systems or split them:
 
 skew row halving
     For symmetric W and X, WX - XW is skew, so the SSP/SMP primal keeps its
@@ -31,11 +31,19 @@ coordinate elimination
     (nonzero cells) are coordinate subspaces S, and dim(S + span R) =
     dim S + rank(R restricted to the coordinates outside S).  The dual
     keeps only the non-edge (zero-cell) rows of its range.
+direct-sum splitting
+    C and D join cell (a, b) to cell (i, j) only when a, i and b, j lie in
+    common components of W's support, so each system is a permuted direct
+    sum, one block per component pair, with the union of the blocks'
+    singular values: the linear algebra of the disjoint-union results for
+    SSP, SMP and SAP (Barrett et al., EJC 24 (2017) P2.40).  Blocks are
+    factored one by one against the threshold of the whole system.
 
 The eliminated dual block is then the primal's transpose up to sign,
 scaling and a row permutation - the duality itself - but it is sliced and
 factored separately, so an assembly error on either side surfaces as a
-primal/dual mismatch, raising :class:`InternalCheckError`.
+primal/dual mismatch or, in a split system, as a nonzero outside its blocks,
+raising :class:`InternalCheckError`.
 
 Inputs are normalized to unit Frobenius norm internally (all four
 properties are invariant under nonzero scaling), so verdicts do not
@@ -69,6 +77,10 @@ from .patterns import (
 )
 
 SQRT2 = np.sqrt(2.0)
+
+#: rows * cols * min(rows, cols) of a primal below which its systems stay whole:
+#: the measured crossover, under which the per-block overhead outweighs the saving.
+SPLIT_MIN_WORK = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +158,9 @@ def _non_edges(g: Graph):
     return rows[keep], cols[keep]
 
 
-def _primal_nullspace(system: np.ndarray, tol: Tolerances):
-    """Nullspace dimension, basis and smallest singular value of the primal
-    system, from one SVD; columns index the constrained cells."""
-    svals, basis = svd_nullspace(system, tol)
-    sigma_min = float(svals[-1]) if len(svals) >= system.shape[1] else 0.0
-    return basis.shape[1], basis, sigma_min
+def _primal_nullspace(system: np.ndarray, tol: Tolerances, blocks):
+    """(nullspace dim, null vectors, sigma_min); columns are constrained cells."""
+    return svd_nullspace(system, tol, blocks)
 
 
 def _witness_from(n: int, cells, coeffs: np.ndarray, symmetric: bool) -> np.ndarray:
@@ -165,20 +174,24 @@ def _witness_from(n: int, cells, coeffs: np.ndarray, symmetric: bool) -> np.ndar
 
 
 def _check_and_build(
-    name, n, cells, symmetric, primal, dual, tol, residual_of, q_used=None, q_alternatives=()
+    name, n, cells, symmetric, primal, dual, tol, residual_of, blocks,
+    q_used=None, q_alternatives=(),
 ) -> StrongPropertyReport:
     """Decide both routes and build the report.  ``dual`` has one row per
-    constrained cell: the coordinates not eliminated from the ambient space."""
+    constrained cell: the coordinates not eliminated from the ambient space.
+    ``blocks`` holds the direct-sum labels of the primal and of the dual
+    (see :func:`_split`), each None for a system kept whole."""
+    primal_blocks, dual_blocks = blocks
     if primal.shape[1] == 0:
         # Constrained subspace is {O}: the property holds with no solve.
         holds, null_dim, sigma_min, witness = True, 0, float("inf"), None
     else:
-        null_dim, null_basis, sigma_min = _primal_nullspace(primal, tol)
+        null_dim, null_basis, sigma_min = _primal_nullspace(primal, tol, primal_blocks)
         holds = null_dim == 0
         witness = None if holds else _witness_from(n, cells, null_basis[:, 0], symmetric)
 
     ambient = n * (n + 1) // 2 if symmetric else n * n
-    dual_dim = ambient - dual.shape[0] + rank(dual, tol)
+    dual_dim = ambient - dual.shape[0] + rank(dual, tol, dual_blocks)
     dual_verdict = dual_dim == ambient
     if dual_verdict != holds:
         raise InternalCheckError(
@@ -200,6 +213,41 @@ def _check_and_build(
     )
 
 
+def _split(w: np.ndarray, shape):
+    """Function of the primal's row cells (plus ``extra`` SMP trace rows)
+    and column cells giving the primal's (row labels, column labels) and the
+    dual's, swapped.  A cell's label is the unordered pair of its components
+    in W's exact support graph, or -1 within one component, which the SMP
+    trace rows (W^k)_ij join.  Labels are None (systems whole) when that
+    graph is connected or the primal's ``shape`` is below SPLIT_MIN_WORK."""
+
+    def whole(row_cells, col_cells, extra=0):
+        return None, None
+
+    rows, cols = shape
+    if rows * cols * min(rows, cols) < SPLIT_MIN_WORK:
+        return whole
+    n = w.shape[0]
+    reach = (w != 0) | (w.T != 0) | np.eye(n, dtype=bool)
+    for _ in range(max(n - 1, 1).bit_length()):  # repeated squaring
+        if reach.all():
+            return whole
+        reach = reach @ reach
+    comp = np.argmax(reach, axis=1)  # the smallest vertex of each component
+    if not comp.any():
+        return whole
+
+    def label(cells) -> np.ndarray:
+        ci, cj = comp[cells[0]], comp[cells[1]]
+        return np.where(ci == cj, -1, np.minimum(ci, cj) * n + np.maximum(ci, cj))
+
+    def blocks(row_cells, col_cells, extra=0):
+        r, c = np.concatenate([label(row_cells), np.full(extra, -1)]), label(col_cells)
+        return (r, c), (c, r)
+
+    return blocks
+
+
 def _prepare_symmetric(a, g: Graph, tol: Tolerances):
     a = symmetrize(a)
     if a.shape[0] != g.n:
@@ -214,12 +262,13 @@ def _prepare_symmetric(a, g: Graph, tol: Tolerances):
 
 
 def _commutator_systems(w: np.ndarray, g: Graph):
-    """Non-edge cells, the halved SSP primal (upper rows x non-edge pairs)
-    and the eliminated SSP dual (non-edge rows x skew pairs E_ij - E_ji)."""
+    """Non-edge cells, upper cells, the halved SSP primal (upper rows x
+    non-edge pairs) and the eliminated SSP dual (non-edge rows x skew pairs
+    E_ij - E_ji)."""
     cells, upper = _non_edges(g), np.triu_indices(g.n, 1)
     primal = _commutator_block(w, upper, cells) + _commutator_block(w, upper, cells[::-1])
     dual = _commutator_block(w, cells, upper) - _commutator_block(w, cells, upper[::-1])
-    return cells, primal, dual
+    return cells, upper, primal, dual
 
 
 def _commutator_residual(a):
@@ -234,8 +283,11 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     symmetric matrices.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    cells, primal, dual = _commutator_systems(w, g)
-    return _check_and_build("ssp", g.n, cells, True, primal, dual, tol, _commutator_residual(a))
+    cells, upper, primal, dual = _commutator_systems(w, g)
+    return _check_and_build(
+        "ssp", g.n, cells, True, primal, dual, tol, _commutator_residual(a),
+        _split(w, primal.shape)(upper, cells),
+    )
 
 
 def _smp_q_candidates(lam: np.ndarray, tol: Tolerances) -> tuple[int, list[int]]:
@@ -281,16 +333,18 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     """
     a, w = _prepare_symmetric(a, g, tol)
     q, alt_qs = _smp_q_candidates(sym_eig(w, tol).eigenvalues, tol)
-    cells, commutator, dual = _commutator_systems(w, g)
+    cells, upper, commutator, dual = _commutator_systems(w, g)
+    split = _split(w, (commutator.shape[0] + q, commutator.shape[1]))
 
     def verdict_only(q_val) -> bool:
         system = np.vstack([commutator, _trace_rows(w, cells, q_val)])
-        return system.shape[1] == 0 or rank(system, tol) == system.shape[1]
+        blocks, _ = split(upper, cells, q_val)
+        return system.shape[1] == 0 or rank(system, tol, blocks) == system.shape[1]
 
     trace = _trace_rows(w, cells, q)
     return _check_and_build(
         "smp", g.n, cells, True, np.vstack([commutator, trace]), np.hstack([dual, trace.T]),
-        tol, _commutator_residual(a), q_used=q,
+        tol, _commutator_residual(a), split(upper, cells, q), q_used=q,
         q_alternatives=[(alt, verdict_only(alt)) for alt in alt_qs if 1 <= alt <= g.n],
     )
 
@@ -305,6 +359,7 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     return _check_and_build(
         "sap", g.n, cells, True, primal, dual, tol,
         lambda x: fro(a @ x) / max(fro(a), 1e-300),
+        _split(w, primal.shape)(every, cells),
     )
 
 
@@ -330,10 +385,11 @@ def verify_nssp(
     scale = fro(a)
     w = a / scale if scale > 0 else a
     cells, every = np.nonzero(pattern.as_array() == 0), np.divmod(np.arange(n * n), n)
+    primal = _commutator_block(w, every, cells[::-1])
     return _check_and_build(
-        "nssp", n, cells, False,
-        _commutator_block(w, every, cells[::-1]), _commutator_block(w, cells, every), tol,
+        "nssp", n, cells, False, primal, _commutator_block(w, cells, every), tol,
         lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300),
+        _split(w, primal.shape)(every, cells),
     )
 
 

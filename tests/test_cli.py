@@ -76,7 +76,7 @@ class TestVerifyCommand:
 
     def test_primal_dual_disagreement_exit_eight(self, workdir, capsys, monkeypatch):
         # a dual route that sees rank 0 contradicts the primal verdict
-        monkeypatch.setattr("strongprops.verifiers.rank", lambda a, tol: 0)
+        monkeypatch.setattr("strongprops.verifiers.rank", lambda a, tol, blocks=None: 0)
         code, _, err = run(
             capsys,
             ["verify", workdir / "c4twist.mat", "--property", "ssp", "--graph", workdir / "c4.graph"],
@@ -85,7 +85,7 @@ class TestVerifyCommand:
         assert "internal check failed" in err and "disagrees" in err
 
     def test_linalg_error_exit_eight(self, workdir, capsys, monkeypatch):
-        def failing(a, tol):
+        def failing(a, tol, blocks=None):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr("strongprops.verifiers.svd_nullspace", failing)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from strongprops.errors import InputError
+from strongprops.errors import InputError, InternalCheckError
 from strongprops.numerics import (
+    DEFAULT_TOL,
     Tolerances,
     char_poly,
     char_poly_faddeev,
@@ -12,6 +13,7 @@ from strongprops.numerics import (
     poly_from_spectrum,
     rank,
     real_schur,
+    svd_nullspace,
     sym_eig,
 )
 
@@ -125,6 +127,56 @@ class TestNullspace:
             assert rank(a) + dim == n
             if dim:
                 assert np.max(np.abs(a @ basis)) <= 1e-8 * max(1.0, fro(a))
+
+
+class TestDirectSum:
+    """``rank`` and ``svd_nullspace`` on a permuted direct sum, against the
+    whole matrix."""
+
+    @staticmethod
+    def _direct_sum(rng, shapes, scales):
+        """Random blocks of the given shapes, ranks and scales, rows and
+        columns permuted, with their labels."""
+        m, n = sum(s[0] for s in shapes), sum(s[1] for s in shapes)
+        a, rows, cols = np.zeros((m, n)), np.zeros(m, int), np.zeros(n, int)
+        r0 = c0 = 0
+        for label, ((h, w, r), scale) in enumerate(zip(shapes, scales)):
+            a[r0:r0 + h, c0:c0 + w] = scale * rng.normal(size=(h, r)) @ rng.normal(size=(r, w))
+            rows[r0:r0 + h], cols[c0:c0 + w] = label, label
+            r0, c0 = r0 + h, c0 + w
+        pr, pc = rng.permutation(m), rng.permutation(n)
+        return a[np.ix_(pr, pc)], (rows[pr], cols[pc])
+
+    def test_matches_whole_matrix(self):
+        rng = np.random.default_rng(5)
+        # (rows, cols, rank): tall, square, repeated shapes, a wide block and
+        # columns that no row touches
+        shapes = [(5, 3, 3), (4, 4, 4), (4, 4, 2), (2, 3, 2), (0, 2, 0), (3, 2, 2)]
+        cases = [
+            shapes,
+            [s for s in shapes if s[0] >= s[1]],
+            [(3, 2, 2), (3, 2, 2), (6, 4, 4)],
+            [(4, 3, 2), (1, 1, 1)],
+            [(2, 3, 2), (1, 2, 1)],
+        ]
+        # 1e-10 puts a full-rank block under the whole matrix's threshold
+        for case in cases:
+            for scales in ([1.0] * len(case), [1e-10] + [1.0] * (len(case) - 1)):
+                a, blocks = self._direct_sum(rng, case, scales)
+                dim, basis, sigma = svd_nullspace(a, DEFAULT_TOL, blocks)
+                whole_dim, _, whole_sigma = svd_nullspace(a)
+                assert dim == whole_dim == a.shape[1] - rank(a, DEFAULT_TOL, blocks)
+                assert rank(a, DEFAULT_TOL, blocks) == rank(a)
+                assert basis.shape[1] >= (dim > 0)
+                assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]))
+                assert np.max(np.abs(a @ basis), initial=0.0) <= 1e-8 * fro(a)
+                assert abs(sigma - whole_sigma) <= 1e-12 * max(1.0, whole_sigma)
+
+    def test_entry_outside_blocks_raises(self):
+        a = np.eye(3)
+        a[0, 2] = 1e-300
+        with pytest.raises(InternalCheckError):
+            rank(a, DEFAULT_TOL, (np.arange(3), np.arange(3)))
 
 
 class TestLstsq:

@@ -22,6 +22,7 @@ from strongprops.patterns import (
     sign_tangent_basis,
     skew_basis,
 )
+from strongprops import verifiers
 from strongprops.verifiers import (
     _smp_q_candidates,
     verify_nssp,
@@ -194,3 +195,91 @@ def test_ambiguous_clustering_alternatives_match_dense_oracle():
         report = verify_smp(a, g)
         assert report.q_alternatives
         _assert_matches(report, dense_smp(a, g))
+
+
+def _direct_sum(blocks, rng):
+    """Block-diagonal matrix of ``blocks`` under a random vertex permutation."""
+    n = sum(len(b) for b in blocks)
+    out, start = np.zeros((n, n)), 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    perm = rng.permutation(n)
+    return out[np.ix_(perm, perm)]
+
+
+def _support_graph(a) -> Graph:
+    n = a.shape[0]
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if a[i, j]])
+
+
+def _direct_sum_corpus():
+    """Permuted block-diagonal (symmetric, square) pairs, n = 2..10, with
+    1-3 components.  In half the cases every component has the eigenvalue
+    c: a signed Laplacian shifted by c (symmetric) and a strictly upper
+    integer block shifted by c (square), so the eigenvalue is exact.  Plus
+    diagonal matrices (empty graph) and 10^+-6 rescalings."""
+    rng = np.random.default_rng(33)
+    out = []
+    for case in range(36):
+        n = 2 + case % 9
+        k = min(n, 1 + case % 3)
+        sizes = np.diff(np.r_[0, np.sort(rng.choice(np.arange(1, n), k - 1, replace=False)), n])
+        c = float(rng.integers(-2, 3))
+        sym_blocks, square_blocks = [], []
+        for size in sizes:
+            g = random_graph(rng, int(size))
+            if case % 2:
+                sym_blocks.append(random_in_graph_class(rng, g))
+                square_blocks.append(random_square_with_zeros(rng, int(size)))
+            else:
+                adj = adjacency(g)
+                sym_blocks.append(np.diag(adj.sum(axis=1)) - adj + c * np.eye(size))
+                upper = np.triu(rng.integers(-2, 3, size=(size, size)), 1)
+                square_blocks.append(upper + c * np.eye(size))
+        seed = int(rng.integers(1 << 30))
+        out.append((_direct_sum(sym_blocks, np.random.default_rng(seed)),
+                    _direct_sum(square_blocks, np.random.default_rng(seed))))
+        values = rng.integers(0, max(2, n // 2), size=n).astype(float)
+        out.append((np.diag(values), np.diag(values)))
+    # a gap of 1e-10 is a repeated eigenvalue under the threshold of the
+    # whole system, though its 1 x 1 block is far from zero on its own
+    for gap in (1e-10, 1e-5):
+        values = np.arange(8.0)
+        values[1] = values[0] + gap
+        out.append((np.diag(values), np.diag(values)))
+    # ambiguous eigenvalue clusterings: the SMP reports alternative q
+    for values in ([0.0, 1.5e-6, 1.0], [0.0, 0.6e-6, 1.0]):
+        out.append((np.diag(values), np.diag(values)))
+    return out + [(c * a, c * sq) for a, sq in out[::3] for c in (1e-6, 1e6)]
+
+
+@pytest.fixture(params=["default", "every-disconnected"])
+def split_floor(request, monkeypatch):
+    """The verifiers' split rule as shipped, and with every system of a
+    disconnected matrix split, so small direct sums reach the block code."""
+    if request.param == "every-disconnected":
+        monkeypatch.setattr(verifiers, "SPLIT_MIN_WORK", 1)
+    return request.param
+
+
+@pytest.mark.parametrize("verifier,oracle", SYMMETRIC, ids=["ssp", "smp", "sap"])
+def test_direct_sums_match_dense_oracle(verifier, oracle, split_floor):
+    verdicts = set()
+    for a, _ in _direct_sum_corpus():
+        g = _support_graph(a)
+        report = verifier(a, g)
+        _assert_matches(report, oracle(a, g))
+        assert report.holds or report.witness_residual <= 1e-8
+        verdicts.add(report.holds)
+    assert verdicts == {True, False}
+
+
+def test_nssp_direct_sums_match_dense_oracle(split_floor):
+    verdicts = set()
+    for _, a in _direct_sum_corpus():
+        report = verify_nssp(a)
+        _assert_matches(report, dense_nssp(a))
+        assert report.holds or report.witness_residual <= 1e-8
+        verdicts.add(report.holds)
+    assert verdicts == {True, False}

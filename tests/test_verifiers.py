@@ -1,9 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strongprops.errors import InputError
+from strongprops import verifiers
+from strongprops.errors import InputError, InternalCheckError
 from strongprops.numerics import fro
 from strongprops.patterns import Graph, SignPattern, edge_span_basis
 from strongprops.verifiers import (
@@ -13,6 +16,8 @@ from strongprops.verifiers import (
     verify_smp,
     verify_ssp,
 )
+
+from test_verifier_oracle import _assert_matches, _support_graph, dense_ssp
 
 from conftest import (
     adjacency,
@@ -300,3 +305,99 @@ def test_nssp_verdict_invariant_under_transpose(instance):
     base = verify_nssp(scale * square)
     moved = verify_nssp(scale * square.T)
     assert (moved.holds, moved.nullspace_dim) == (base.holds, base.nullspace_dim)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shape and compute_uv of every np.linalg.svd call."""
+    calls = []
+    original = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+class TestDirectSum:
+    def test_connected_holding_ssp_takes_two_values_only_svds(self, svd_calls):
+        g = Graph.path(10)
+        report = verify_ssp(random_in_graph_class(np.random.default_rng(40), g), g)
+        assert report.holds
+        # one per route, each on the whole system
+        assert [uv for _, uv in svd_calls] == [False, False]
+        assert all(len(shape) == 2 for shape, _ in svd_calls)
+
+    def test_diagonal_nssp_factors_only_tiny_blocks(self, svd_calls):
+        a = np.diag([1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0])
+        report = verify_nssp(a)
+        assert not report.holds and report.nullspace_dim == 2
+        assert svd_calls
+        # the diagonal cells form one block with no rows: nothing to factor
+        assert all(min(shape[-2:]) == 0 or max(shape[-2:]) <= 2 for shape, _ in svd_calls)
+
+    def test_tiny_non_edge_entry_keeps_components_joined(self, svd_calls, monkeypatch):
+        # the class check accepts a 1e-13 entry on a non-edge, and the exact
+        # support joins the two paths through it: splitting would drop it
+        monkeypatch.setattr(verifiers, "SPLIT_MIN_WORK", 1)
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        a = adjacency(g) + np.diag([0.5, -1.0, 2.0, 0.5, -1.0, 2.0])
+        verify_ssp(a, g)
+        assert any(len(shape) == 3 for shape, _ in svd_calls)
+        svd_calls.clear()
+        a[0, 5] = a[5, 0] = 1e-13
+        report = verify_ssp(a, g)
+        assert all(len(shape) == 2 for shape, _ in svd_calls)
+        _assert_matches(report, dense_ssp(a, g))
+
+    def test_entry_moved_across_blocks_is_an_internal_error(self, monkeypatch):
+        a = np.diag(np.arange(16.0))
+        g = Graph.empty(16)
+        assert verify_ssp(a, g).holds
+        original = verifiers._commutator_systems
+
+        def corrupted(w, graph):
+            cells, upper, primal, dual = original(w, graph)
+            primal = primal.copy()
+            primal[1, 0], primal[1, 1] = primal[1, 1], primal[1, 0]
+            return cells, upper, primal, dual
+
+        monkeypatch.setattr(verifiers, "_commutator_systems", corrupted)
+        with pytest.raises(InternalCheckError, match="outside the direct-sum blocks"):
+            verify_ssp(a, g)
+
+
+@st.composite
+def _integer_spectrum_blocks(draw):
+    """c I + s L(K_{p,q}), a shifted multiple of a complete bipartite
+    Laplacian in S(K_{p,q}), with its exact spectrum."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    c, s = draw(st.integers(-4, 4)), draw(st.sampled_from([-2, -1, 1, 2]))
+    n = p + q
+    adj = np.zeros((n, n))
+    adj[:p, p:] = adj[p:, :p] = 1.0
+    block = c * np.eye(n) + s * (np.diag(adj.sum(axis=1)) - adj)
+    # L(K_{p,q}) has eigenvalues 0, q (p-1 times), p (q-1 times) and p+q
+    if q == 0:
+        spectrum = {0}
+    else:
+        spectrum = {0, p + q} | ({q} if p > 1 else set()) | ({p} if q > 1 else set())
+    return block, {c + s * v for v in spectrum}
+
+
+@settings(max_examples=40)
+@given(_integer_spectrum_blocks(), _integer_spectrum_blocks())
+def test_direct_sum_has_ssp_iff_spectra_are_disjoint(first, second):
+    # Barrett et al. (2017): for A in S(G) and B in S(H) with the SSP,
+    # A (+) B has the SSP exactly when sigma(A) and sigma(B) are disjoint
+    (a, spec_a), (b, spec_b) = first, second
+    assume(verify_ssp(a, _support_graph(a)).holds and verify_ssp(b, _support_graph(b)).holds)
+    n = len(a) + len(b)
+    total = np.zeros((n, n))
+    total[:len(a), :len(a)], total[len(a):, len(a):] = a, b
+    for floor in (verifiers.SPLIT_MIN_WORK, 1):
+        with patch.object(verifiers, "SPLIT_MIN_WORK", floor):
+            holds = verify_ssp(total, _support_graph(total)).holds
+        assert holds == spec_a.isdisjoint(spec_b)

@@ -2,6 +2,7 @@
 
 Usage (from the repository root):
 
+    python3 tools/deck_digest.py --workload verify --seed 1
     python3 tools/deck_digest.py --workload realize --seed 1
     python3 tools/deck_digest.py --workload pipelines --seed 66
 
@@ -11,6 +12,8 @@ returns.  It prints one line per op (index, kind, whether the benchmark's
 check accepts the output, SHA-256 of the output) and a last line with the
 SHA-256 of all the op digests.  The output hashed is:
 
+verify
+    ``json.dumps(report.as_dict(), sort_keys=True)``;
 realize
     the realized matrix's bytes and ``json.dumps(result.as_dict(),
     sort_keys=True)``;
@@ -47,6 +50,8 @@ TMP_TOKEN = "<tmpdir>"
 
 
 def output_bytes(workload: str, result, workdir: str) -> bytes:
+    if workload == "verify":
+        return json.dumps(result.as_dict(), sort_keys=True).encode()
     if workload == "realize":
         text = json.dumps(result.as_dict(), sort_keys=True)
         return result.matrix.tobytes() + text.encode()
@@ -81,7 +86,7 @@ def digest(workload: str, seed: int) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("realize", "pipelines"), required=True)
+    parser.add_argument("--workload", choices=decks.WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     print("\n".join(digest(args.workload, args.seed)))
