@@ -224,17 +224,27 @@ def _direct_sum_spectra(a: np.ndarray, blocks):
     return groups
 
 
-def rank(a, tol: Tolerances = DEFAULT_TOL, blocks=None) -> int:
+def rank(a, tol: Tolerances = DEFAULT_TOL, blocks=None, margin: bool = False):
     """Numerical rank: count of singular values above rank_tol * sigma_max,
     block by block when ``blocks`` makes ``a`` a permuted direct sum (see
-    :func:`_direct_sum_spectra`), against the threshold of the whole matrix."""
+    :func:`_direct_sum_spectra`), against the threshold of the whole matrix.
+
+    With ``margin``, returns (rank, sigma_m): the m-th largest singular
+    value for m rows, the margin by which the rows are independent (0 when
+    ``a`` has fewer singular values, inf when it has no rows)."""
     a = as_matrix(a)
     if a.size == 0:
-        return 0
+        return (0, float("inf") if a.shape[0] == 0 else 0.0) if margin else 0
     values = [np.linalg.svd(a, compute_uv=False)] if blocks is None else [
         s for _, _, s in _direct_sum_spectra(a, blocks)]
     thr = tol.rank_tol * max(float(s.max(initial=0.0)) for s in values)
-    return sum(int(np.count_nonzero(s > thr)) for s in values)
+    r = sum(int(np.count_nonzero(s > thr)) for s in values)
+    if not margin:
+        return r
+    m = a.shape[0]
+    spectrum = values[0] if blocks is None else -np.sort(-np.concatenate(
+        [s.reshape(-1) for s in values]))
+    return r, float(spectrum[m - 1]) if spectrum.size >= m else 0.0
 
 
 def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL, blocks=None) -> tuple[int, np.ndarray, float]:

@@ -241,14 +241,13 @@ def matrix_in_graph_class(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> bool:
     a = symmetrize(a)
     if a.shape[0] != g.n:
         raise InputError(f"matrix size {a.shape[0]} does not match graph on {g.n} vertices")
-    thr = entry_zero_threshold(a)
-    edge_set = set(g.edges)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            nonzero = abs(a[i, j]) > thr
-            if nonzero != ((i, j) in edge_set):
-                return False
-    return True
+    edges = np.zeros((g.n, g.n), dtype=bool)
+    if g.edges:
+        rows, cols = zip(*g.edges)
+        edges[rows, cols] = edges[cols, rows] = True
+    nonzero = np.abs(a) > entry_zero_threshold(a)
+    np.fill_diagonal(nonzero, False)
+    return bool(np.array_equal(nonzero, edges))
 
 
 def matrix_in_sign_class(a, p: SignPattern, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -258,14 +257,8 @@ def matrix_in_sign_class(a, p: SignPattern, tol: Tolerances = DEFAULT_TOL) -> bo
     require_square(a)
     if a.shape[0] != p.n:
         raise InputError(f"matrix size {a.shape[0]} does not match pattern size {p.n}")
-    thr = entry_zero_threshold(a)
-    for i in range(p.n):
-        for j in range(p.n):
-            v = a[i, j]
-            sign = ZERO if abs(v) <= thr else (PLUS if v > 0 else MINUS)
-            if sign != p.cells[i][j]:
-                return False
-    return True
+    nonzero = np.abs(a) > entry_zero_threshold(a)
+    return bool(np.array_equal(np.sign(a) * nonzero, p.cells))
 
 
 def marginal_cells(a, required_nonzero, factor: float = 10.0) -> list[tuple[int, int]]:

@@ -6,26 +6,45 @@ base matrix A.  Every verifier runs two independent routes and demands
 agreement:
 
 primal
-    The linear map X -> (equations) on the constrained subspace; the
-    property holds iff its nullspace is trivial, and any nullspace vector
-    is a concrete witness of failure.
+    The equations solved in coordinates of the small space the unknown X
+    already lies in; the property holds iff the solution space is trivial,
+    and any solution is a concrete witness of failure.
 dual
     The property holds iff a sum of explicit subspaces spans the whole
     ambient space (closed pattern class plus a commutator/congruence
     range, plus the span of matrix powers for the SMP); check by rank.
 
-Both systems are index slices of a Kronecker matrix.  In row-major vec,
+The primal's small spaces, with W the input scaled to unit Frobenius norm:
+
+commutant (SSP, SMP)
+    A symmetric X commutes with W = Q diag(lambda) Q^T iff
+    X = sum_k Q_k Y_k Q_k^T over the eigenvalue clusters, each Y_k
+    symmetric.  The system reads X on the diagonal and the edges (n + |E|
+    rows) over the orthonormal coordinates of the Y_k.  Consecutive
+    eigenvalues cluster when their gap is at most
+    rank_tol * (lambda_max - lambda_min), the resolution at which the dual
+    sees them as equal.  The SMP trace conditions tr(W^k X) = 0 read
+    lambda_p^k on the diagonal coordinates Y_pp.
+kernel (SAP)
+    WX = O for symmetric X iff X = N Y N^T with N an eigenbasis of ker W
+    (|lambda| <= rank_tol * max |lambda|): the Colin de Verdiere form
+    (Barrett et al., EJC 24 (2017) P2.40).
+centralizer (nSSP)
+    [W, X^T] = O.  For nonderogatory W, X^T is a polynomial in W, so the
+    system reads X on the nonzero cells over an Arnoldi basis of
+    span{I, W, ..., W^(n-1)} (the nilpotent-centralizer method of Garnett
+    and Shader, LAA 438 (2013)).  A breakdown at rank_tol means W is
+    derogatory; then, and for systems under CENTRALIZER_MIN_WORK, the
+    primal is the Kronecker slice that the dual transposes.
+
+The dual is an index slice of a Kronecker matrix.  In row-major vec,
 vec(WX - XW) = C vec(X) with C = W (x) I - I (x) W^T and vec(WX) = D vec(X)
 with D = W (x) I, so the image of the matrix unit E_ij is column i*n + j.
 The constrained subspaces are spanned by matrix units on the zero cells
-(nSSP) or by pairs E_ij + E_ji on the non-edges (SSP, SMP, SAP).  Three
-exact identities shrink the systems or split them:
+(nSSP) or by pairs E_ij + E_ji on the non-edges (SSP, SMP, SAP), and the
+symmetric commutator ranges by skew pairs E_ij - E_ji.  Two exact
+identities shrink the dual or split it:
 
-skew row halving
-    For symmetric W and X, WX - XW is skew, so the SSP/SMP primal keeps its
-    strictly upper rows only; with unnormalized pairs E_ij + E_ji its Gram
-    matrix, hence every singular value, equals that of the n^2-row system
-    over the orthonormal pairs (E_ij + E_ji)/sqrt(2).
 coordinate elimination
     The closed graph class (diagonal and edges) and the sign tangent space
     (nonzero cells) are coordinate subspaces S, and dim(S + span R) =
@@ -33,17 +52,20 @@ coordinate elimination
     keeps only the non-edge (zero-cell) rows of its range.
 direct-sum splitting
     C and D join cell (a, b) to cell (i, j) only when a, i and b, j lie in
-    common components of W's support, so each system is a permuted direct
+    common components of W's support, so the dual is a permuted direct
     sum, one block per component pair, with the union of the blocks'
     singular values: the linear algebra of the disjoint-union results for
     SSP, SMP and SAP (Barrett et al., EJC 24 (2017) P2.40).  Blocks are
     factored one by one against the threshold of the whole system.
 
-The eliminated dual block is then the primal's transpose up to sign,
-scaling and a row permutation - the duality itself - but it is sliced and
-factored separately, so an assembly error on either side surfaces as a
-primal/dual mismatch or, in a split system, as a nonzero outside its blocks,
-raising :class:`InternalCheckError`.
+The eliminated dual block is the transpose of the Kronecker form of the
+primal (the same equations over the orthonormal cell coordinates), up to
+sign and a row permutation, and twice it for the SAP - the duality
+itself.  Its m-th singular value, m its row count, is therefore the
+primal's smallest one and is reported as the margin.  The two routes are
+assembled and factored separately, so an assembly error on either side
+surfaces as a primal/dual mismatch or, in a split dual, as a nonzero
+outside its blocks, raising :class:`InternalCheckError`.
 
 Inputs are normalized to unit Frobenius norm internally (all four
 properties are invariant under nonzero scaling), so verdicts do not
@@ -52,6 +74,7 @@ depend on the scale of A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +88,6 @@ from .numerics import (
     rank,
     require_square,
     svd_nullspace,
-    sym_eig,
     symmetrize,
 )
 from .patterns import (
@@ -82,6 +104,11 @@ SQRT2 = np.sqrt(2.0)
 #: the measured crossover, under which the per-block overhead outweighs the saving.
 SPLIT_MIN_WORK = 10**6
 
+#: rows * cols * min(rows, cols) of the Kronecker nSSP primal below which it is
+#: factored as is, without first trying the polynomial basis: the measured
+#: crossover, under which the Arnoldi steps cost more than the SVD they save.
+CENTRALIZER_MIN_WORK = 3 * 10**4
+
 
 @dataclass(frozen=True, eq=False)
 class StrongPropertyReport:
@@ -92,9 +119,10 @@ class StrongPropertyReport:
     fails, ``witness`` is a unit-Frobenius-norm nonzero solution of the
     defining equations and ``witness_residual`` the norm of its equation
     images (relative to ||A||_F).  ``smallest_structural_singular_value``
-    is the smallest singular value of the primal system, i.e. the margin
-    by which the verdict clears the rank tolerance (inf when the
-    constrained subspace is trivial).
+    is the smallest singular value of the defining equations over the
+    orthonormal cell coordinates of the constrained subspace, i.e. the
+    margin by which the verdict clears the rank tolerance, read from the
+    dual (inf when the constrained subspace is trivial).
     """
 
     property_name: str
@@ -134,18 +162,24 @@ class StrongPropertyReport:
 
 
 def _left_block(w, rows, cols) -> np.ndarray:
-    """Rows (a, b), columns (i, j) of D = W (x) I: D[ab, ij] = W[a, i] [b = j]."""
-    a, b = rows[0][:, None], rows[1][:, None]
-    i, j = cols[0][None, :], cols[1][None, :]
-    return w[a, i] * (b == j)
+    """Rows (a, b), columns (i, j) of D = W (x) I: D[ab, ij] = W[a, i] [b = j].
+    W[a, i] is gathered by whole rows of W[:, i] (copies, not an
+    elementwise index), and the zeros keep the signs of W[a, i] * 0, which
+    LAPACK's Householder steps read."""
+    return w[:, cols[0]][rows[0]] * (rows[1][:, None] == cols[1])
 
 
 def _commutator_block(w, rows, cols) -> np.ndarray:
     """Rows (a, b), columns (i, j) of C = W (x) I - I (x) W^T:
-    C[ab, ij] = W[a, i] [b = j] - [a = i] W[j, b]."""
-    a, b = rows[0][:, None], rows[1][:, None]
-    i, j = cols[0][None, :], cols[1][None, :]
-    return _left_block(w, rows, cols) - (a == i) * w[j, b]
+    C[ab, ij] = W[a, i] [b = j] - [a = i] W[j, b].  On the cell (a, b)
+    itself the entry is the one subtraction W[a, a] - W[b, b]."""
+    return _left_block(w, rows, cols) - (rows[0][:, None] == cols[0]) * w[cols[1]].T[rows[1]]
+
+
+def _upper_mask(n: int) -> np.ndarray:
+    """Boolean mask of the strictly upper cells (np.triu_indices costs more
+    than the small systems it would index)."""
+    return np.less.outer(np.arange(n), np.arange(n))
 
 
 def _non_edges(g: Graph):
@@ -153,13 +187,11 @@ def _non_edges(g: Graph):
     adjacent = np.zeros((g.n, g.n), dtype=bool)
     for i, j in g.edges:
         adjacent[i, j] = True
-    rows, cols = np.triu_indices(g.n, 1)
-    keep = ~adjacent[rows, cols]
-    return rows[keep], cols[keep]
+    return np.nonzero(_upper_mask(g.n) & ~adjacent)
 
 
-def _primal_nullspace(system: np.ndarray, tol: Tolerances, blocks):
-    """(nullspace dim, null vectors, sigma_min); columns are constrained cells."""
+def _primal_nullspace(system: np.ndarray, tol: Tolerances, blocks=None):
+    """(nullspace dim, null vectors, sigma_min) of a primal system."""
     return svd_nullspace(system, tol, blocks)
 
 
@@ -174,24 +206,34 @@ def _witness_from(n: int, cells, coeffs: np.ndarray, symmetric: bool) -> np.ndar
 
 
 def _check_and_build(
-    name, n, cells, symmetric, primal, dual, tol, residual_of, blocks,
+    name, n, cells, symmetric, primal, dual, tol, residual_of, *,
+    to_matrix=None, primal_blocks=None, dual_blocks=None, dual_scale=1.0,
     q_used=None, q_alternatives=(),
 ) -> StrongPropertyReport:
-    """Decide both routes and build the report.  ``dual`` has one row per
-    constrained cell: the coordinates not eliminated from the ambient space.
-    ``blocks`` holds the direct-sum labels of the primal and of the dual
-    (see :func:`_split`), each None for a system kept whole."""
-    primal_blocks, dual_blocks = blocks
-    if primal.shape[1] == 0:
+    """Decide both routes and build the report.
+
+    ``primal`` is a system whose null vectors are the solutions X; with
+    ``to_matrix`` (null vector -> X) it is written in coordinates of a small
+    space, otherwise its columns are the constrained ``cells``.  ``dual``
+    has one row per constrained cell: the coordinates not eliminated from
+    the ambient space.  It has the singular values of the Kronecker primal
+    times ``dual_scale``, and gives the reported margin.  ``*_blocks`` are
+    direct-sum labels (see :func:`_split`), None for a system kept whole."""
+    if len(cells[0]) == 0:
         # Constrained subspace is {O}: the property holds with no solve.
-        holds, null_dim, sigma_min, witness = True, 0, float("inf"), None
+        holds, null_dim, witness = True, 0, None
     else:
-        null_dim, null_basis, sigma_min = _primal_nullspace(primal, tol, primal_blocks)
-        holds = null_dim == 0
-        witness = None if holds else _witness_from(n, cells, null_basis[:, 0], symmetric)
+        null_dim, null_basis, _ = _primal_nullspace(primal, tol, primal_blocks)
+        holds, witness = null_dim == 0, None
+        if not holds:
+            coeffs = null_basis[:, 0]
+            if to_matrix is not None:
+                coeffs = to_matrix(coeffs)[cells]
+            witness = _witness_from(n, cells, coeffs, symmetric)
 
     ambient = n * (n + 1) // 2 if symmetric else n * n
-    dual_dim = ambient - dual.shape[0] + rank(dual, tol, dual_blocks)
+    dual_rank, margin = rank(dual, tol, dual_blocks, margin=True)
+    dual_dim = ambient - dual.shape[0] + dual_rank
     dual_verdict = dual_dim == ambient
     if dual_verdict != holds:
         raise InternalCheckError(
@@ -202,7 +244,7 @@ def _check_and_build(
         property_name=name,
         holds=holds,
         nullspace_dim=null_dim,
-        smallest_structural_singular_value=sigma_min,
+        smallest_structural_singular_value=margin / dual_scale,
         dual_span_dim=dual_dim,
         ambient_dim=ambient,
         dual_verdict=dual_verdict,
@@ -213,19 +255,23 @@ def _check_and_build(
     )
 
 
+def _svd_work(rows: int, cols: int) -> int:
+    return rows * cols * min(rows, cols)
+
+
 def _split(w: np.ndarray, shape):
-    """Function of the primal's row cells (plus ``extra`` SMP trace rows)
-    and column cells giving the primal's (row labels, column labels) and the
-    dual's, swapped.  A cell's label is the unordered pair of its components
-    in W's exact support graph, or -1 within one component, which the SMP
-    trace rows (W^k)_ij join.  Labels are None (systems whole) when that
-    graph is connected or the primal's ``shape`` is below SPLIT_MIN_WORK."""
+    """Function of a Kronecker system's row cells and column cells (plus
+    ``extra`` SMP trace columns) giving its (row labels, column labels).  A
+    cell's label is the unordered pair of its components in W's exact
+    support graph, or -1 within one component, which the SMP trace columns
+    (W^k)_ij join.  It gives None (system whole) when that graph is
+    connected or rows * cols * min(rows, cols) of ``shape`` is below
+    SPLIT_MIN_WORK."""
 
     def whole(row_cells, col_cells, extra=0):
-        return None, None
+        return None
 
-    rows, cols = shape
-    if rows * cols * min(rows, cols) < SPLIT_MIN_WORK:
+    if _svd_work(*shape) < SPLIT_MIN_WORK:
         return whole
     n = w.shape[0]
     reach = (w != 0) | (w.T != 0) | np.eye(n, dtype=bool)
@@ -242,8 +288,7 @@ def _split(w: np.ndarray, shape):
         return np.where(ci == cj, -1, np.minimum(ci, cj) * n + np.maximum(ci, cj))
 
     def blocks(row_cells, col_cells, extra=0):
-        r, c = np.concatenate([label(row_cells), np.full(extra, -1)]), label(col_cells)
-        return (r, c), (c, r)
+        return label(row_cells), np.concatenate([label(col_cells), np.full(extra, -1)])
 
     return blocks
 
@@ -261,14 +306,46 @@ def _prepare_symmetric(a, g: Graph, tol: Tolerances):
     return a, work
 
 
-def _commutator_systems(w: np.ndarray, g: Graph):
-    """Non-edge cells, upper cells, the halved SSP primal (upper rows x
-    non-edge pairs) and the eliminated SSP dual (non-edge rows x skew pairs
-    E_ij - E_ji)."""
-    cells, upper = _non_edges(g), np.triu_indices(g.n, 1)
-    primal = _commutator_block(w, upper, cells) + _commutator_block(w, upper, cells[::-1])
+def _congruence_system(q: np.ndarray, coupled: np.ndarray, g: Graph):
+    """The symmetric X = Q Y Q^T with Y symmetric and zero outside the mask
+    ``coupled`` of eigenvector pairs, read on the closed graph class.
+
+    Columns are the orthonormal coordinates of Y (E_pp, and (E_pr + E_rp)/sqrt 2
+    for p < r); rows are X_ii and sqrt(2) X_ij on the edges, the orthonormal
+    coordinates of X on the diagonal and the edges.  Returns the system, the
+    eigenvalue index of each column's diagonal coordinate (-1 off the
+    diagonal) and the map from coordinates to X."""
+    p, r = np.nonzero(coupled & ~_upper_mask(len(q)).T)  # p <= r
+    scale = np.where(p == r, 0.5, 1.0 / SQRT2)
+    qp, qr = q[:, p], q[:, r]
+    i, j = np.array(g.edges, dtype=int).reshape(-1, 2).T
+    # X_ij = (Q_ip Q_jr + Q_ir Q_jp) * scale
+    system = np.vstack([2.0 * scale * qp * qr, SQRT2 * scale * (qp[i] * qr[j] + qr[i] * qp[j])])
+
+    def to_matrix(y: np.ndarray) -> np.ndarray:
+        coords = np.zeros((g.n, g.n))
+        coords[p, r] = scale * y
+        return q @ (coords + coords.T) @ q.T
+
+    return system, np.where(p == r, p, -1), to_matrix
+
+
+def _commutant_system(w: np.ndarray, g: Graph, tol: Tolerances):
+    """Eigenvalues of W and :func:`_congruence_system` over the commutant of W:
+    Y is block diagonal over the eigenvalue clusters, consecutive eigenvalues
+    merging when their gap is at most rank_tol * (lambda_max - lambda_min)."""
+    lam, q = np.linalg.eigh(w)
+    cluster = np.concatenate([[0], np.cumsum(np.diff(lam) > tol.rank_tol * (lam[-1] - lam[0]))])
+    return (lam, *_congruence_system(q, cluster[:, None] == cluster, g))
+
+
+def _commutator_dual(w: np.ndarray, g: Graph):
+    """Non-edge cells, upper cells and the eliminated SSP dual (non-edge
+    rows x skew pairs E_ij - E_ji), the transpose of the Kronecker primal
+    (upper rows x non-edge pairs)."""
+    cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
     dual = _commutator_block(w, cells, upper) - _commutator_block(w, cells, upper[::-1])
-    return cells, upper, primal, dual
+    return cells, upper, dual
 
 
 def _commutator_residual(a):
@@ -278,15 +355,16 @@ def _commutator_residual(a):
 def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyReport:
     """Strong spectral property of a symmetric matrix relative to its graph.
 
-    Primal equations: A o X = O, I o X = O, [A, X] = O.
-    Dual: closure(graph class) + {K^T A + A K : K skew} spans all
-    symmetric matrices.
+    Primal equations: A o X = O, I o X = O, [A, X] = O, solved over the
+    commutant of A.  Dual: closure(graph class) + {K^T A + A K : K skew}
+    spans all symmetric matrices.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    cells, upper, primal, dual = _commutator_systems(w, g)
+    _, primal, _, to_matrix = _commutant_system(w, g, tol)
+    cells, upper, dual = _commutator_dual(w, g)
     return _check_and_build(
         "ssp", g.n, cells, True, primal, dual, tol, _commutator_residual(a),
-        _split(w, primal.shape)(upper, cells),
+        to_matrix=to_matrix, dual_blocks=_split(w, dual.shape)(cells, upper),
     )
 
 
@@ -332,35 +410,63 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     q values are reported as well.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    q, alt_qs = _smp_q_candidates(sym_eig(w, tol).eigenvalues, tol)
-    cells, upper, commutator, dual = _commutator_systems(w, g)
-    split = _split(w, (commutator.shape[0] + q, commutator.shape[1]))
+    lam, commutant, diagonal, to_matrix = _commutant_system(w, g, tol)
+    q, alt_qs = _smp_q_candidates(lam, tol)
 
-    def verdict_only(q_val) -> bool:
-        system = np.vstack([commutator, _trace_rows(w, cells, q_val)])
-        blocks, _ = split(upper, cells, q_val)
-        return system.shape[1] == 0 or rank(system, tol, blocks) == system.shape[1]
+    def primal(q_val) -> np.ndarray:
+        # tr(W^k X) is lambda_p^k on the diagonal coordinate Y_pp; k = 0 is
+        # left out, being the sum of the rows X_ii = 0
+        powers = np.where(diagonal >= 0, lam[diagonal], 0.0) ** np.arange(1, q_val)[:, None]
+        return np.vstack([commutant, powers])
 
-    trace = _trace_rows(w, cells, q)
+    cells, upper, dual = _commutator_dual(w, g)
     return _check_and_build(
-        "smp", g.n, cells, True, np.vstack([commutator, trace]), np.hstack([dual, trace.T]),
-        tol, _commutator_residual(a), split(upper, cells, q), q_used=q,
-        q_alternatives=[(alt, verdict_only(alt)) for alt in alt_qs if 1 <= alt <= g.n],
+        "smp", g.n, cells, True, primal(q), np.hstack([dual, _trace_rows(w, cells, q).T]),
+        tol, _commutator_residual(a), to_matrix=to_matrix,
+        dual_blocks=_split(w, (dual.shape[0], dual.shape[1] + q))(cells, upper, q),
+        q_used=q,
+        q_alternatives=[
+            (alt, _primal_nullspace(primal(alt), tol)[0] == 0)
+            for alt in alt_qs if 1 <= alt <= g.n
+        ],
     )
 
 
 def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyReport:
-    """Strong Arnol'd property: A o X = O, I o X = O, A X = O; dual uses
-    {L^T A + A L} with L ranging over all square matrices."""
+    """Strong Arnol'd property: A o X = O, I o X = O, A X = O, solved over
+    X = N Y N^T with N an eigenbasis of ker A; dual uses {L^T A + A L} with L
+    ranging over all square matrices."""
     a, w = _prepare_symmetric(a, g, tol)
+    lam, q = np.linalg.eigh(w)
+    kernel = np.abs(lam) <= tol.rank_tol * np.abs(lam).max(initial=0.0)
+    primal, _, to_matrix = _congruence_system(q, kernel[:, None] & kernel, g)
     cells, every = _non_edges(g), np.divmod(np.arange(g.n * g.n), g.n)
-    primal = (_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2
+    # twice the transpose of the Kronecker primal (n^2 rows x orthonormal pairs)
     dual = SQRT2 * (_left_block(w, cells, every) + _left_block(w, cells[::-1], every))
     return _check_and_build(
         "sap", g.n, cells, True, primal, dual, tol,
-        lambda x: fro(a @ x) / max(fro(a), 1e-300),
-        _split(w, primal.shape)(every, cells),
+        lambda x: fro(a @ x) / max(fro(a), 1e-300), to_matrix=to_matrix,
+        dual_blocks=_split(w, dual.shape)(cells, every), dual_scale=2.0,
     )
+
+
+def _polynomial_basis(w: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """Frobenius-orthonormal basis (n x n x n) of span{I, W, ..., W^(n-1)}
+    by Arnoldi with two Gram-Schmidt passes, or None when a step leaves less
+    than rank_tol (W has unit norm): the minimal polynomial of W has degree
+    below n, so W is derogatory and its centralizer is larger."""
+    n = w.shape[0]
+    basis = np.empty((n, n * n))
+    basis[0] = np.eye(n).reshape(-1) / np.sqrt(n)
+    for k in range(1, n):
+        v = (w @ basis[k - 1].reshape(n, n)).reshape(-1)
+        for _ in range(2):
+            v -= basis[:k].T @ (basis[:k] @ v)
+        height = math.sqrt(v @ v)
+        if height <= tol.rank_tol:
+            return None
+        basis[k] = v / height
+    return basis.reshape(n, n, n)
 
 
 def verify_nssp(
@@ -372,7 +478,8 @@ def verify_nssp(
 
     Primal: A o X = O and [A, X^T] = O force X = O, with X ranging over
     matrices supported on the zero cells of A (or of ``pattern`` when
-    supplied, after checking A lies in its sign class).  Dual: the sign
+    supplied, after checking A lies in its sign class).  For nonderogatory
+    A it is solved over X^T = p(A), a polynomial in A.  Dual: the sign
     tangent space plus {-L A + A L} spans all of M_n.
     """
     a = as_matrix(a)
@@ -384,12 +491,27 @@ def verify_nssp(
         pattern = SignPattern.from_matrix(a)
     scale = fro(a)
     w = a / scale if scale > 0 else a
-    cells, every = np.nonzero(pattern.as_array() == 0), np.divmod(np.arange(n * n), n)
-    primal = _commutator_block(w, every, cells[::-1])
+    zero = pattern.as_array() == 0
+    cells, every = np.nonzero(zero), np.divmod(np.arange(n * n), n)
+    dual = _commutator_block(w, cells, every)
+    dual_blocks = _split(w, dual.shape)(cells, every)
+    small = _svd_work(n * n, len(cells[0])) < CENTRALIZER_MIN_WORK
+    basis = None if small else _polynomial_basis(w, tol)
+    if basis is None:
+        primal, to_matrix = _commutator_block(w, every, cells[::-1]), None
+        primal_blocks = None if dual_blocks is None else dual_blocks[::-1]
+    else:
+        # X^T = sum_k c_k B_k vanishes on the nonzero cells of X
+        nonzero = np.nonzero(~zero)
+        primal, primal_blocks = basis[:, nonzero[1], nonzero[0]].T, None
+
+        def to_matrix(c):
+            return np.tensordot(c, basis, axes=1).T
+
     return _check_and_build(
-        "nssp", n, cells, False, primal, _commutator_block(w, cells, every), tol,
+        "nssp", n, cells, False, primal, dual, tol,
         lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300),
-        _split(w, primal.shape)(every, cells),
+        to_matrix=to_matrix, primal_blocks=primal_blocks, dual_blocks=dual_blocks,
     )
 
 

@@ -76,7 +76,9 @@ class TestVerifyCommand:
 
     def test_primal_dual_disagreement_exit_eight(self, workdir, capsys, monkeypatch):
         # a dual route that sees rank 0 contradicts the primal verdict
-        monkeypatch.setattr("strongprops.verifiers.rank", lambda a, tol, blocks=None: 0)
+        monkeypatch.setattr(
+            "strongprops.verifiers.rank", lambda a, tol, blocks=None, margin=False: (0, 0.0)
+        )
         code, _, err = run(
             capsys,
             ["verify", workdir / "c4twist.mat", "--property", "ssp", "--graph", workdir / "c4.graph"],

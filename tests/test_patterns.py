@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from strongprops.errors import InputError, ParseError
 from strongprops.patterns import (
@@ -8,6 +10,7 @@ from strongprops.patterns import (
     SignPattern,
     cycle_spectrum_admissible,
     edge_span_basis,
+    entry_zero_threshold,
     format_matrix,
     full_basis,
     graph_closure_basis,
@@ -26,6 +29,7 @@ from strongprops.patterns import (
     sign_tangent_basis,
     skew_basis,
     symmetric_basis,
+    symmetrize,
 )
 
 from conftest import adjacency, random_graph
@@ -363,3 +367,62 @@ class TestFileFormats:
         a = rng.normal(size=(4, 5)) * np.exp(rng.uniform(-8, 8, size=(4, 5)))
         again = parse_matrix_text(format_matrix(a))
         assert np.array_equal(a, again)
+
+
+def _graph_class_loop(a, g) -> bool:
+    """Entry-by-entry reference for matrix_in_graph_class."""
+    a = symmetrize(a)
+    thr, edges = entry_zero_threshold(a), set(g.edges)
+    return all((abs(a[i, j]) > thr) == ((i, j) in edges)
+               for i in range(g.n) for j in range(i + 1, g.n))
+
+
+def _sign_class_loop(a, p) -> bool:
+    """Entry-by-entry reference for matrix_in_sign_class."""
+    thr = entry_zero_threshold(a)
+    return all((0 if abs(a[i, j]) <= thr else (1 if a[i, j] > 0 else -1)) == p.cells[i][j]
+               for i in range(p.n) for j in range(p.n))
+
+
+@st.composite
+def _entries_at_the_threshold(draw):
+    """A square matrix with some entries placed exactly at the zero
+    threshold, one ulp on either side of it, or at its negative, and a
+    cell mask that flips some cells of the class the loop reference reads."""
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0])
+    a = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    symmetric = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from(["at", "-at", "below", "above", "keep"]),
+                          min_size=n * n, max_size=n * n))
+    kinds = np.array(kinds).reshape(n, n)
+    if symmetric:
+        a, kinds = np.triu(a) + np.triu(a, 1).T, np.where(np.tri(n, dtype=bool), kinds.T, kinds)
+    a[kinds != "keep"] = 0.0
+    thr = entry_zero_threshold(a)
+    offsets = {"at": thr, "-at": -thr, "below": np.nextafter(thr, 0.0),
+               "above": np.nextafter(thr, np.inf)}
+    for kind, value in offsets.items():
+        a[kinds == kind] = value
+    # the placed entries are far below the norm, so the threshold stays put
+    assume(entry_zero_threshold(a) == thr)
+    flips = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    return a, flips
+
+
+@settings(max_examples=200)
+@given(_entries_at_the_threshold())
+def test_class_checks_match_entry_loops_at_the_threshold(instance):
+    a, flips = instance
+    n = len(a)
+    p = SignPattern.from_matrix(a)
+    flipped = SignPattern.from_rows(
+        [[(v + 1) if f and v < 1 else v for v, f in zip(row, frow)] for row, frow in zip(p.cells, flips)])
+    for pattern in (p, flipped):
+        assert matrix_in_sign_class(a, pattern) == _sign_class_loop(a, pattern)
+    if np.array_equal(a, a.T):
+        thr = entry_zero_threshold(a)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if (abs(a[i, j]) > thr) != bool(flips[i, j])]
+        for g in (Graph.from_edges(n, edges), Graph.empty(n)):
+            assert matrix_in_graph_class(a, g) == _graph_class_loop(a, g)

@@ -10,6 +10,7 @@ congruence range, unreduced.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from strongprops.numerics import DEFAULT_TOL, fro, nullspace, rank, sym_eig, symmetrize
 from strongprops.patterns import (
@@ -283,3 +284,210 @@ def test_nssp_direct_sums_match_dense_oracle(split_floor):
         assert report.holds or report.witness_residual <= 1e-8
         verdicts.add(report.holds)
     assert verdicts == {True, False}
+
+
+def _laplacian(g: Graph) -> np.ndarray:
+    adj = adjacency(g)
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+def _complete_bipartite(p: int, q: int) -> Graph:
+    return Graph.from_edges(p + q, [(i, p + j) for i in range(p) for j in range(q)])
+
+
+def _repeated_eigenvalue_corpus():
+    """Connected (matrix, graph) pairs whose eigenvalues repeat exactly:
+    shifted and scaled Laplacians of cycles (eigenvalue pairs 2 - 2 cos(2 pi k / n))
+    and of K_{p,q} (q repeated p - 1 times, p repeated q - 1 times)."""
+    out = []
+    for n in range(3, 9):
+        g = Graph.cycle(n)
+        for shift, scale in ((0.0, 1.0), (-1.5, -2.0), (0.25, 3.0)):
+            out.append((scale * (_laplacian(g) + shift * np.eye(n)), g))
+    for p, q in ((1, 3), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4)):
+        g = _complete_bipartite(p, q)
+        for shift in (0.0, -1.0, 2.5):
+            out.append((_laplacian(g) + shift * np.eye(p + q), g))
+    return out
+
+
+def _singular_corpus():
+    """Connected symmetric (matrix, graph) pairs of nullity 1 to 3: a Laplacian
+    (nullity 1), a generic matrix shifted by one of its eigenvalues (1), a
+    cycle Laplacian shifted by a double eigenvalue (2), and K_{p,q}
+    Laplacians shifted by the eigenvalue q of multiplicity p - 1 (1 to 3)."""
+    rng = np.random.default_rng(34)
+    out = []
+    for n in range(3, 9):
+        g = Graph.path(n)
+        out.append((_laplacian(g), g))
+        a = random_in_graph_class(rng, g)
+        out.append((a - np.linalg.eigvalsh(a)[n // 2] * np.eye(n), g))
+        if n > 3:
+            c = Graph.cycle(n)
+            out.append((_laplacian(c) - (2.0 - 2.0 * np.cos(2.0 * np.pi / n)) * np.eye(n), c))
+    for p, q in ((2, 3), (3, 2), (4, 2), (3, 4), (4, 3)):
+        out.append((_laplacian(_complete_bipartite(p, q)) - q * np.eye(p + q),
+                    _complete_bipartite(p, q)))
+    return out
+
+
+@pytest.mark.parametrize("verifier,oracle", SYMMETRIC, ids=["ssp", "smp", "sap"])
+def test_exactly_repeated_eigenvalues_match_dense_oracle(verifier, oracle):
+    verdicts = set()
+    for a, g in _repeated_eigenvalue_corpus():
+        report = verifier(a, g)
+        _assert_matches(report, oracle(a, g))
+        assert report.holds or report.witness_residual <= 1e-8
+        verdicts.add(report.holds)
+    # a nonsingular matrix has the SAP
+    assert verdicts == ({True} if verifier is verify_sap else {True, False})
+
+
+def test_singular_sap_matches_dense_oracle():
+    nullities, verdicts = set(), set()
+    for a, g in _singular_corpus():
+        lam = np.abs(np.linalg.eigvalsh(a))
+        nullities.add(int(np.sum(lam <= 1e-8 * lam.max())))
+        report = verify_sap(a, g)
+        _assert_matches(report, dense_sap(a, g))
+        assert report.holds or report.witness_residual <= 1e-8
+        verdicts.add(report.holds)
+    assert nullities == {1, 2, 3}
+    assert verdicts == {True, False}
+
+
+def _nonderogatory_corpus(rng):
+    """Square matrices with a cyclic vector: generic sparse ones and
+    companion matrices of polynomials with repeated roots."""
+    out = [random_square_with_zeros(rng, n) for n in range(2, 9)]
+    for roots in ([1.0, 1.0, -2.0], [0.5, 0.5, 0.5, 3.0], [2.0, 2.0, -1.0, -1.0, 0.0]):
+        coeffs = np.poly(roots)
+        n = len(roots)
+        companion = np.diag(np.ones(n - 1), -1)
+        companion[:, -1] = -coeffs[1:][::-1]
+        out.append(companion)
+    return out
+
+
+def _nilpotent_index_n_corpus(rng):
+    """Strictly upper triangular integer matrices with a nonzero
+    superdiagonal: one Jordan block at zero, nilpotent of index n."""
+    out = []
+    for n in range(2, 9):
+        a = np.triu(rng.integers(-2, 3, size=(n, n)).astype(float), 2)
+        a[np.arange(n - 1), np.arange(1, n)] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n - 1)
+        out.append(a)
+    return out
+
+
+def _derogatory_corpus(rng):
+    """Square matrices with a repeated eigenvalue of geometric multiplicity
+    at least 2: diagonals, direct sums of nilpotent blocks, a permuted
+    direct sum with a shared eigenvalue, and the zero matrix."""
+    out = [np.diag([1.0, 1.0, 2.0]), np.diag([0.0, 3.0, 0.0, 3.0, -1.0]), np.zeros((4, 4))]
+    for sizes in ((2, 2), (3, 2), (2, 3, 1)):
+        blocks = [np.triu(rng.integers(-2, 3, size=(k, k)).astype(float), 1) + 1.5 * np.eye(k)
+                  for k in sizes]
+        out.append(_direct_sum(blocks, rng))
+    return out
+
+
+@pytest.fixture
+def nssp_route(monkeypatch):
+    """Sends every nSSP primal with a constrained cell to the polynomial
+    basis first, and records whether each call found one (True) or broke
+    down on a derogatory matrix (False)."""
+    routes = []
+    original = verifiers._polynomial_basis
+
+    def recording(w, tol):
+        basis = original(w, tol)
+        routes.append(basis is not None)
+        return basis
+
+    monkeypatch.setattr(verifiers, "CENTRALIZER_MIN_WORK", 1)
+    monkeypatch.setattr(verifiers, "_polynomial_basis", recording)
+    return routes
+
+
+@pytest.mark.parametrize("corpus,centralizer", [
+    (_nonderogatory_corpus, True),
+    (_nilpotent_index_n_corpus, True),
+    (_derogatory_corpus, False),
+], ids=["nonderogatory", "nilpotent-index-n", "derogatory"])
+def test_nssp_routes_match_dense_oracle(corpus, centralizer, nssp_route):
+    for a in corpus(np.random.default_rng(35)):
+        nssp_route.clear()
+        report = verify_nssp(a)
+        assert nssp_route == [centralizer]
+        _assert_matches(report, dense_nssp(a))
+        assert report.holds or report.witness_residual <= 1e-8
+
+
+def test_nssp_default_floor_keeps_small_systems_on_kronecker(monkeypatch):
+    sizes = []
+    original = verifiers._polynomial_basis
+
+    def recording(w, tol):
+        sizes.append(len(w))
+        return original(w, tol)
+
+    monkeypatch.setattr(verifiers, "_polynomial_basis", recording)
+    nilpotent = _nilpotent_index_n_corpus(np.random.default_rng(36))
+    for a in (nilpotent[2], nilpotent[-1]):  # n = 4 and n = 8
+        assert not verify_nssp(a).holds
+    assert sizes == [8]
+
+
+GAPS = (1e-4, 1e-6, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-12, 0.0)
+
+
+def _shifted_path(rng, n: int, eigenvalue: float) -> np.ndarray:
+    """Random matrix in S(P_n) shifted so that its smallest eigenvalue is
+    ``eigenvalue``."""
+    a = random_in_graph_class(rng, Graph.path(n))
+    return a + (eigenvalue - np.linalg.eigvalsh(a)[0]) * np.eye(n)
+
+
+def _gap_pairs(rng, gap: float):
+    """(symmetric, square) pairs with two eigenvalues ``gap`` apart, one in
+    each of two components (paths and single Jordan-type upper blocks, one
+    of them shifted by the gap): as a permuted direct sum, and connected by
+    a plane rotation between the components, which keeps the spectrum."""
+    sizes = rng.integers(2, 5, size=2)
+    sym = scipy.linalg.block_diag(_shifted_path(rng, sizes[0], 0.0),
+                                  _shifted_path(rng, sizes[1], gap))
+    blocks = []
+    for k, shift in zip(sizes, (0.0, gap)):
+        block = np.triu(rng.integers(-2, 3, size=(k, k)).astype(float), 1) + shift * np.eye(k)
+        block[np.arange(k - 1), np.arange(1, k)] = 1.0
+        blocks.append(block)
+    square = scipy.linalg.block_diag(*blocks)
+    n = len(square)
+    rotation = np.eye(n)
+    c, s = np.cos(0.7), np.sin(0.7)
+    rotation[np.ix_([0, n - 1], [0, n - 1])] = [[c, -s], [s, c]]
+    joined = rotation @ sym @ rotation.T
+    perm = rng.permutation(n)
+    return [(sym[np.ix_(perm, perm)], square[np.ix_(perm, perm)]),
+            ((joined + joined.T) / 2.0, rotation @ square @ rotation.T)]
+
+
+@pytest.mark.parametrize("gap", GAPS)
+def test_near_common_eigenvalue_sweep_matches_dense_oracle(gap, nssp_route):
+    # the oracle's unreduced SMP dual and the verifiers' eliminated one
+    # decide the span differently this close to the threshold, so the sweep
+    # checks the verdict, the nullspace and the duality identity
+    rng = np.random.default_rng(37)
+    for _ in range(8):
+        for sym, square in _gap_pairs(rng, gap):
+            g = _support_graph(sym)
+            reports = [(verifier(sym, g), oracle(sym, g)) for verifier, oracle in SYMMETRIC]
+            reports.append((verify_nssp(square), dense_nssp(square)))
+            for report, expected in reports:
+                assert (report.holds, report.nullspace_dim) == (
+                    expected["holds"], expected["nullspace_dim"])
+                assert report.ambient_dim - report.dual_span_dim == report.nullspace_dim
+                assert report.q_used == expected.get("q_used")
+                assert report.holds or report.witness_residual <= 1e-8

@@ -356,15 +356,15 @@ class TestDirectSum:
         a = np.diag(np.arange(16.0))
         g = Graph.empty(16)
         assert verify_ssp(a, g).holds
-        original = verifiers._commutator_systems
+        original = verifiers._commutator_dual
 
         def corrupted(w, graph):
-            cells, upper, primal, dual = original(w, graph)
-            primal = primal.copy()
-            primal[1, 0], primal[1, 1] = primal[1, 1], primal[1, 0]
-            return cells, upper, primal, dual
+            cells, upper, dual = original(w, graph)
+            dual = dual.copy()
+            dual[1, 0], dual[1, 1] = dual[1, 1], dual[1, 0]
+            return cells, upper, dual
 
-        monkeypatch.setattr(verifiers, "_commutator_systems", corrupted)
+        monkeypatch.setattr(verifiers, "_commutator_dual", corrupted)
         with pytest.raises(InternalCheckError, match="outside the direct-sum blocks"):
             verify_ssp(a, g)
 
@@ -401,3 +401,27 @@ def test_direct_sum_has_ssp_iff_spectra_are_disjoint(first, second):
         with patch.object(verifiers, "SPLIT_MIN_WORK", floor):
             holds = verify_ssp(total, _support_graph(total)).holds
         assert holds == spec_a.isdisjoint(spec_b)
+
+
+def _elementwise_blocks(w, rows, cols):
+    """Reference slices of D = W (x) I and C = W (x) I - I (x) W^T, one
+    product per entry."""
+    a, b = rows[0][:, None], rows[1][:, None]
+    i, j = cols[0][None, :], cols[1][None, :]
+    left = w[a, i] * (b == j)
+    return left, left - (a == i) * w[j, b]
+
+
+def test_kronecker_blocks_keep_the_signed_zeros_of_their_products():
+    # the realizers' Gauss-Newton steps factor these blocks with Householder
+    # steps that read the sign of a zero pivot, so the bits must not move
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 5, 7):
+        w = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
+        w[rng.random((n, n)) < 0.2] = -0.0
+        zero, upper = np.nonzero(w == 0), np.triu_indices(n, 1)
+        every = np.divmod(np.arange(n * n), n)
+        for rows, cols in ((zero, every), (every, zero[::-1]), (zero, upper), (upper, upper[::-1])):
+            left, commutator = _elementwise_blocks(w, rows, cols)
+            assert verifiers._left_block(w, rows, cols).tobytes() == left.tobytes()
+            assert verifiers._commutator_block(w, rows, cols).tobytes() == commutator.tobytes()

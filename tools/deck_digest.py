@@ -10,7 +10,12 @@ Builds the deck of ``bench/decks.py`` for the workload and seed in a
 temporary directory and runs each op once, in the order that ``build``
 returns.  It prints one line per op (index, kind, whether the benchmark's
 check accepts the output, SHA-256 of the output) and a last line with the
-SHA-256 of all the op digests.  The output hashed is:
+SHA-256 of all the op digests.  For ``verify`` each op line also carries a
+digest of the decision fields alone (``holds``, ``nullspace_dim``,
+``dual_span_dim``, ``dual_verdict``, ``q_used`` and ``q_alternatives``),
+and a ``decisions`` line their combined digest, so two checkouts make the
+same rank decisions exactly when those lines agree, whatever the margins'
+last digits or the witnesses.  The output hashed is:
 
 verify
     ``json.dumps(report.as_dict(), sort_keys=True)``;
@@ -47,6 +52,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import decks  # noqa: E402
 
 TMP_TOKEN = "<tmpdir>"
+DECISION_FIELDS = (
+    "holds", "nullspace_dim", "dual_span_dim", "dual_verdict", "q_used", "q_alternatives",
+)
 
 
 def output_bytes(workload: str, result, workdir: str) -> bytes:
@@ -60,8 +68,13 @@ def output_bytes(workload: str, result, workdir: str) -> bytes:
     return text.encode()
 
 
+def decision_bytes(report) -> bytes:
+    fields = report.as_dict()
+    return json.dumps({name: fields[name] for name in DECISION_FIELDS}, sort_keys=True).encode()
+
+
 def digest(workload: str, seed: int) -> list[str]:
-    lines, total = [], hashlib.sha256()
+    lines, total, decided = [], hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         deck, _warm = decks.build(workload, seed, workdir)
         for index, op in enumerate(deck):
@@ -70,17 +83,25 @@ def digest(workload: str, seed: int) -> list[str]:
                 result = op.run()
             except Exception as exc:  # the op failed: its error is its output
                 status = "raised"
-                data = f"{type(exc).__name__}: {exc}".replace(workdir, TMP_TOKEN).encode()
+                data = decisions = f"{type(exc).__name__}: {exc}".replace(workdir, TMP_TOKEN).encode()
             else:
                 data = output_bytes(workload, result, workdir)
+                decisions = decision_bytes(result) if workload == "verify" else None
                 try:
                     op.check(result)
                 except (decks.Declined, decks.Wrong) as exc:
                     status = type(exc).__name__.lower()
             sha = hashlib.sha256(data).hexdigest()
             total.update(sha.encode())
-            lines.append(f"{index} {op.kind} {status} {sha}")
+            line = f"{index} {op.kind} {status} {sha}"
+            if workload == "verify":
+                decision_sha = hashlib.sha256(decisions).hexdigest()
+                decided.update(decision_sha.encode())
+                line += f" {decision_sha}"
+            lines.append(line)
     lines.append(f"total {total.hexdigest()}")
+    if workload == "verify":
+        lines.append(f"decisions {decided.hexdigest()}")
     return lines
 
 
