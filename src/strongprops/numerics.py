@@ -224,44 +224,41 @@ def _direct_sum_spectra(a: np.ndarray, blocks):
     return groups
 
 
-def rank(a, tol: Tolerances = DEFAULT_TOL, blocks=None, margin: bool = False):
+def rank(a, tol: Tolerances = DEFAULT_TOL, blocks=None, values: bool = False):
     """Numerical rank: count of singular values above rank_tol * sigma_max,
     block by block when ``blocks`` makes ``a`` a permuted direct sum (see
     :func:`_direct_sum_spectra`), against the threshold of the whole matrix.
 
-    With ``margin``, returns (rank, sigma_m): the m-th largest singular
-    value for m rows, the margin by which the rows are independent (0 when
-    ``a`` has fewer singular values, inf when it has no rows)."""
+    With ``values``, returns (rank, singular values in descending order):
+    the blocks' together when split, which omits the zeros that wide or
+    empty blocks add to the whole matrix's."""
     a = as_matrix(a)
     if a.size == 0:
-        return (0, float("inf") if a.shape[0] == 0 else 0.0) if margin else 0
-    values = [np.linalg.svd(a, compute_uv=False)] if blocks is None else [
+        return (0, np.zeros(0)) if values else 0
+    spectra = [np.linalg.svd(a, compute_uv=False)] if blocks is None else [
         s for _, _, s in _direct_sum_spectra(a, blocks)]
-    thr = tol.rank_tol * max(float(s.max(initial=0.0)) for s in values)
-    r = sum(int(np.count_nonzero(s > thr)) for s in values)
-    if not margin:
+    thr = tol.rank_tol * max(float(s.max(initial=0.0)) for s in spectra)
+    r = sum(int(np.count_nonzero(s > thr)) for s in spectra)
+    if not values:
         return r
-    m = a.shape[0]
-    spectrum = values[0] if blocks is None else -np.sort(-np.concatenate(
-        [s.reshape(-1) for s in values]))
-    return r, float(spectrum[m - 1]) if spectrum.size >= m else 0.0
+    return r, spectra[0] if blocks is None else -np.sort(-np.concatenate(
+        [s.reshape(-1) for s in spectra]))
 
 
-def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL, blocks=None) -> tuple[int, np.ndarray, float]:
-    """Nullspace dimension, orthonormal null vectors (columns) and smallest
-    singular value of ``a`` (0 if some block is wide, inf with no columns),
+def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL, blocks=None) -> tuple[int, np.ndarray]:
+    """Nullspace dimension and orthonormal null vectors (columns) of ``a``,
     its rank decided as by :func:`rank` from values-only SVDs.  Only the
     first block with a null direction gets singular vectors (the full V
     when it is wide); its null vectors are returned, embedded."""
     a = as_matrix(a)
     m, n = a.shape
     if n == 0:
-        return 0, np.zeros((0, 0)), float("inf")
+        return 0, np.zeros((0, 0))
     if blocks is None:
         s = np.linalg.svd(a, compute_uv=False)
         r = int(np.count_nonzero(s > tol.rank_tol * s[0])) if m else 0
         basis = np.linalg.svd(a, full_matrices=m < n)[2][r:].T if r < n else np.zeros((n, 0))
-        return n - r, basis, float(s[-1]) if m >= n else 0.0
+        return n - r, basis
     groups = _direct_sum_spectra(a, blocks)
     thr = tol.rank_tol * max(float(s.max(initial=0.0)) for _, _, s in groups)
     null_dim, basis = 0, np.zeros((n, 0))
@@ -274,9 +271,7 @@ def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL, blocks=None) -> tuple[int, n
             vt = np.linalg.svd(stack[k], full_matrices=height < width)[2]
             basis = np.zeros((n, width - ranks[k]))
             basis[cols[k]] = vt[ranks[k]:].T
-    if any(stack.shape[1] < stack.shape[2] for stack, _, _ in groups):
-        return null_dim, basis, 0.0
-    return null_dim, basis, min(float(s[:, -1].min()) for _, _, s in groups)
+    return null_dim, basis
 
 
 def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
@@ -284,8 +279,7 @@ def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
 
     The all-zero matrix has nullspace dimension equal to its column count.
     """
-    dim, basis, _ = svd_nullspace(a, tol)
-    return dim, basis
+    return svd_nullspace(a, tol)
 
 
 def lstsq_min_norm(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

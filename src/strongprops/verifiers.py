@@ -14,28 +14,36 @@ dual
     ambient space (closed pattern class plus a commutator/congruence
     range, plus the span of matrix powers for the SMP); check by rank.
 
-The primal's small spaces, with W the input scaled to unit Frobenius norm:
+The primal's small spaces, with W the input scaled to unit Frobenius norm
+and cut = rank_tol * sigma_max of the Kronecker primal, the dual's
+threshold (the dual is factored first):
 
 commutant (SSP, SMP)
     A symmetric X commutes with W = Q diag(lambda) Q^T iff
     X = sum_k Q_k Y_k Q_k^T over the eigenvalue clusters, each Y_k
     symmetric.  The system reads X on the diagonal and the edges (n + |E|
     rows) over the orthonormal coordinates of the Y_k.  Consecutive
-    eigenvalues cluster when their gap is at most
-    rank_tol * (lambda_max - lambda_min), the resolution at which the dual
-    sees them as equal.  The SMP trace conditions tr(W^k X) = 0 read
-    lambda_p^k on the diagonal coordinates Y_pp.
+    eigenvalues cluster when their gap is at most cut: a coupling across a
+    gap g on the non-edges has the Kronecker singular value g.  The SMP
+    trace conditions tr(W^k X) = 0 read lambda_p^k on the diagonal
+    coordinates Y_pp.
 kernel (SAP)
     WX = O for symmetric X iff X = N Y N^T with N an eigenbasis of ker W
-    (|lambda| <= rank_tol * max |lambda|): the Colin de Verdiere form
-    (Barrett et al., EJC 24 (2017) P2.40).
+    (|lambda| <= cut): the Colin de Verdiere form (Barrett et al., EJC 24
+    (2017) P2.40).
 centralizer (nSSP)
     [W, X^T] = O.  For nonderogatory W, X^T is a polynomial in W, so the
     system reads X on the nonzero cells over an Arnoldi basis of
     span{I, W, ..., W^(n-1)} (the nilpotent-centralizer method of Garnett
-    and Shader, LAA 438 (2013)).  A breakdown at rank_tol means W is
+    and Shader, LAA 438 (2013)).  A breakdown at cut means W is
     derogatory; then, and for systems under CENTRALIZER_MIN_WORK, the
-    primal is the Kronecker slice that the dual transposes.
+    Kronecker primal decides.
+
+These primals decide when their nullity is the dual's.  Near the cut they
+can read the equations differently: clusters chain gaps that are each at
+most cut, and a near-kernel or near-derogatory W has couplings that the
+Kronecker primal counts as null and the small space leaves out.  Then the
+Kronecker primal, which has the dual's singular values, decides.
 
 The dual is an index slice of a Kronecker matrix.  In row-major vec,
 vec(WX - XW) = C vec(X) with C = W (x) I - I (x) W^T and vec(WX) = D vec(X)
@@ -62,10 +70,13 @@ The eliminated dual block is the transpose of the Kronecker form of the
 primal (the same equations over the orthonormal cell coordinates), up to
 sign and a row permutation, and twice it for the SAP - the duality
 itself.  Its m-th singular value, m its row count, is therefore the
-primal's smallest one and is reported as the margin.  The two routes are
-assembled and factored separately, so an assembly error on either side
-surfaces as a primal/dual mismatch or, in a split dual, as a nonzero
-outside its blocks, raising :class:`InternalCheckError`.
+primal's smallest one and is reported as the margin.  The routes are
+assembled and factored separately, so an assembly error in the dual or
+the Kronecker primal surfaces as a primal/dual mismatch or, in a split
+system, as a nonzero outside its blocks, raising
+:class:`InternalCheckError`; one in a small-space primal that moves its
+nullity hands the decision to the Kronecker primal, and the oracle tests
+check which route decided.
 
 Inputs are normalized to unit Frobenius norm internally (all four
 properties are invariant under nonzero scaling), so verdicts do not
@@ -88,6 +99,7 @@ from .numerics import (
     rank,
     require_square,
     svd_nullspace,
+    sym_eig,
     symmetrize,
 )
 from .patterns import (
@@ -191,7 +203,7 @@ def _non_edges(g: Graph):
 
 
 def _primal_nullspace(system: np.ndarray, tol: Tolerances, blocks=None):
-    """(nullspace dim, null vectors, sigma_min) of a primal system."""
+    """(nullspace dim, null vectors) of a primal system."""
     return svd_nullspace(system, tol, blocks)
 
 
@@ -205,36 +217,58 @@ def _witness_from(n: int, cells, coeffs: np.ndarray, symmetric: bool) -> np.ndar
     return w / fro(w)
 
 
+def _transposed(blocks):
+    """Direct-sum labels of a system's transpose."""
+    return None if blocks is None else blocks[::-1]
+
+
 def _check_and_build(
-    name, n, cells, symmetric, primal, dual, tol, residual_of, *,
-    to_matrix=None, primal_blocks=None, dual_blocks=None, dual_scale=1.0,
-    q_used=None, q_alternatives=(),
+    name, n, cells, symmetric, dual, tol, residual_of, primal, kronecker, *,
+    dual_blocks=None, dual_scale=1.0, q_used=None, alt_qs=(),
 ) -> StrongPropertyReport:
     """Decide both routes and build the report.
 
-    ``primal`` is a system whose null vectors are the solutions X; with
-    ``to_matrix`` (null vector -> X) it is written in coordinates of a small
-    space, otherwise its columns are the constrained ``cells``.  ``dual``
-    has one row per constrained cell: the coordinates not eliminated from
-    the ambient space.  It has the singular values of the Kronecker primal
-    times ``dual_scale``, and gives the reported margin.  ``*_blocks`` are
-    direct-sum labels (see :func:`_split`), None for a system kept whole."""
-    if len(cells[0]) == 0:
-        # Constrained subspace is {O}: the property holds with no solve.
-        holds, null_dim, witness = True, 0, None
-    else:
-        null_dim, null_basis, _ = _primal_nullspace(primal, tol, primal_blocks)
-        holds, witness = null_dim == 0, None
-        if not holds:
+    ``dual`` has one row per constrained cell: the coordinates not
+    eliminated from the ambient space.  Its singular values are those of the
+    Kronecker primal times ``dual_scale``; it is factored first and gives
+    the margin and the resolution cut = rank_tol * sigma_max of the
+    Kronecker primal.  ``dual_blocks`` are its direct-sum labels (see
+    :func:`_split`), None for a system kept whole.
+
+    A route maps the SMP's q (None elsewhere) to (system, direct-sum labels,
+    map from null vectors to X or None); its null vectors are the solutions
+    X.  ``primal(cut)`` is the route over the small space X lies in, or None
+    where none applies, and decides when its nullity is the dual's.
+    Otherwise ``kronecker``, the Kronecker primal over the constrained
+    ``cells``, decides: the two routes can read a coupling across an
+    eigenvalue gap near the cut differently, and the Kronecker primal has
+    the dual's singular values.  The SMP alternatives ``alt_qs`` are tried
+    on the route that decided."""
+    m = len(cells[0])
+    ambient = n * (n + 1) // 2 if symmetric else n * n
+    dual_rank, values = rank(dual, tol, dual_blocks, values=True)
+    values = values / dual_scale
+    dual_dim = ambient - m + dual_rank
+    dual_verdict = dual_dim == ambient
+    null_dim, witness, alternatives = 0, None, [(alt, True) for alt in alt_qs]
+    if m:
+        # the constrained subspace is not {O}: solve
+        for route in (primal(tol.rank_tol * float(values.max(initial=0.0))), kronecker):
+            if route is not None:
+                system, blocks, to_matrix = route(q_used)
+                null_dim, null_basis = _primal_nullspace(system, tol, blocks)
+                if null_dim == m - dual_rank:
+                    break
+        if null_dim:
             coeffs = null_basis[:, 0]
             if to_matrix is not None:
                 coeffs = to_matrix(coeffs)[cells]
             witness = _witness_from(n, cells, coeffs, symmetric)
-
-    ambient = n * (n + 1) // 2 if symmetric else n * n
-    dual_rank, margin = rank(dual, tol, dual_blocks, margin=True)
-    dual_dim = ambient - dual.shape[0] + dual_rank
-    dual_verdict = dual_dim == ambient
+        alternatives = []
+        for alt in alt_qs:
+            system, blocks, _ = route(alt)
+            alternatives.append((alt, _primal_nullspace(system, tol, blocks)[0] == 0))
+    holds = null_dim == 0
     if dual_verdict != holds:
         raise InternalCheckError(
             f"{name}: primal verdict {holds} disagrees with dual verdict "
@@ -244,14 +278,15 @@ def _check_and_build(
         property_name=name,
         holds=holds,
         nullspace_dim=null_dim,
-        smallest_structural_singular_value=margin / dual_scale,
+        smallest_structural_singular_value=(
+            float("inf") if not m else float(values[m - 1]) if values.size >= m else 0.0),
         dual_span_dim=dual_dim,
         ambient_dim=ambient,
         dual_verdict=dual_verdict,
         witness=witness,
         witness_residual=None if witness is None else residual_of(witness),
         q_used=q_used,
-        q_alternatives=tuple(q_alternatives),
+        q_alternatives=tuple(alternatives),
     )
 
 
@@ -330,22 +365,27 @@ def _congruence_system(q: np.ndarray, coupled: np.ndarray, g: Graph):
     return system, np.where(p == r, p, -1), to_matrix
 
 
-def _commutant_system(w: np.ndarray, g: Graph, tol: Tolerances):
-    """Eigenvalues of W and :func:`_congruence_system` over the commutant of W:
+def _commutant_system(eig, cut: float, g: Graph):
+    """:func:`_congruence_system` over the commutant of W = Q diag(lambda) Q^T:
     Y is block diagonal over the eigenvalue clusters, consecutive eigenvalues
-    merging when their gap is at most rank_tol * (lambda_max - lambda_min)."""
-    lam, q = np.linalg.eigh(w)
-    cluster = np.concatenate([[0], np.cumsum(np.diff(lam) > tol.rank_tol * (lam[-1] - lam[0]))])
-    return (lam, *_congruence_system(q, cluster[:, None] == cluster, g))
+    merging when their gap is at most ``cut``."""
+    lam = eig.eigenvalues
+    cluster = np.concatenate([[0], np.cumsum(np.diff(lam) > cut)])
+    return _congruence_system(eig.eigenvectors, cluster[:, None] == cluster, g)
 
 
 def _commutator_dual(w: np.ndarray, g: Graph):
     """Non-edge cells, upper cells and the eliminated SSP dual (non-edge
-    rows x skew pairs E_ij - E_ji), the transpose of the Kronecker primal
-    (upper rows x non-edge pairs)."""
+    rows x skew pairs E_ij - E_ji)."""
     cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
     dual = _commutator_block(w, cells, upper) - _commutator_block(w, cells, upper[::-1])
     return cells, upper, dual
+
+
+def _commutator_primal(w: np.ndarray, cells, upper) -> np.ndarray:
+    """The halved Kronecker SSP primal (upper rows x non-edge pairs), which
+    the dual transposes."""
+    return _commutator_block(w, upper, cells) + _commutator_block(w, upper, cells[::-1])
 
 
 def _commutator_residual(a):
@@ -360,11 +400,17 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     spans all symmetric matrices.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    _, primal, _, to_matrix = _commutant_system(w, g, tol)
     cells, upper, dual = _commutator_dual(w, g)
+    dual_blocks = _split(w, dual.shape)(cells, upper)
+
+    def primal(cut):
+        system, _, to_matrix = _commutant_system(sym_eig(w, tol), cut, g)
+        return lambda _: (system, None, to_matrix)
+
     return _check_and_build(
-        "ssp", g.n, cells, True, primal, dual, tol, _commutator_residual(a),
-        to_matrix=to_matrix, dual_blocks=_split(w, dual.shape)(cells, upper),
+        "ssp", g.n, cells, True, dual, tol, _commutator_residual(a), primal,
+        lambda _: (_commutator_primal(w, cells, upper), _transposed(dual_blocks), None),
+        dual_blocks=dual_blocks,
     )
 
 
@@ -410,25 +456,31 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     q values are reported as well.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    lam, commutant, diagonal, to_matrix = _commutant_system(w, g, tol)
+    eig = sym_eig(w, tol)
+    lam = eig.eigenvalues
     q, alt_qs = _smp_q_candidates(lam, tol)
-
-    def primal(q_val) -> np.ndarray:
-        # tr(W^k X) is lambda_p^k on the diagonal coordinate Y_pp; k = 0 is
-        # left out, being the sum of the rows X_ii = 0
-        powers = np.where(diagonal >= 0, lam[diagonal], 0.0) ** np.arange(1, q_val)[:, None]
-        return np.vstack([commutant, powers])
-
     cells, upper, dual = _commutator_dual(w, g)
+    split = _split(w, (dual.shape[0], dual.shape[1] + q))
+
+    def primal(cut):
+        commutant, diagonal, to_matrix = _commutant_system(eig, cut, g)
+
+        def route(q_val):
+            # tr(W^k X) is lambda_p^k on the diagonal coordinate Y_pp; k = 0
+            # is left out, being the sum of the rows X_ii = 0
+            powers = np.where(diagonal >= 0, lam[diagonal], 0.0) ** np.arange(1, q_val)[:, None]
+            return np.vstack([commutant, powers]), None, to_matrix
+
+        return route
+
     return _check_and_build(
-        "smp", g.n, cells, True, primal(q), np.hstack([dual, _trace_rows(w, cells, q).T]),
-        tol, _commutator_residual(a), to_matrix=to_matrix,
-        dual_blocks=_split(w, (dual.shape[0], dual.shape[1] + q))(cells, upper, q),
-        q_used=q,
-        q_alternatives=[
-            (alt, _primal_nullspace(primal(alt), tol)[0] == 0)
-            for alt in alt_qs if 1 <= alt <= g.n
-        ],
+        "smp", g.n, cells, True, np.hstack([dual, _trace_rows(w, cells, q).T]),
+        tol, _commutator_residual(a), primal,
+        lambda q_val: (
+            np.vstack([_commutator_primal(w, cells, upper), _trace_rows(w, cells, q_val)]),
+            _transposed(split(cells, upper, q_val)), None),
+        dual_blocks=split(cells, upper, q), q_used=q,
+        alt_qs=[alt for alt in alt_qs if 1 <= alt <= g.n],
     )
 
 
@@ -437,24 +489,32 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     X = N Y N^T with N an eigenbasis of ker A; dual uses {L^T A + A L} with L
     ranging over all square matrices."""
     a, w = _prepare_symmetric(a, g, tol)
-    lam, q = np.linalg.eigh(w)
-    kernel = np.abs(lam) <= tol.rank_tol * np.abs(lam).max(initial=0.0)
-    primal, _, to_matrix = _congruence_system(q, kernel[:, None] & kernel, g)
     cells, every = _non_edges(g), np.divmod(np.arange(g.n * g.n), g.n)
     # twice the transpose of the Kronecker primal (n^2 rows x orthonormal pairs)
     dual = SQRT2 * (_left_block(w, cells, every) + _left_block(w, cells[::-1], every))
+    dual_blocks = _split(w, dual.shape)(cells, every)
+
+    def primal(cut):
+        eig = sym_eig(w, tol)
+        kernel = np.abs(eig.eigenvalues) <= cut
+        system, _, to_matrix = _congruence_system(eig.eigenvectors, kernel[:, None] & kernel, g)
+        return lambda _: (system, None, to_matrix)
+
     return _check_and_build(
-        "sap", g.n, cells, True, primal, dual, tol,
-        lambda x: fro(a @ x) / max(fro(a), 1e-300), to_matrix=to_matrix,
-        dual_blocks=_split(w, dual.shape)(cells, every), dual_scale=2.0,
+        "sap", g.n, cells, True, dual, tol, lambda x: fro(a @ x) / max(fro(a), 1e-300),
+        primal,
+        lambda _: ((_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2,
+                   _transposed(dual_blocks), None),
+        dual_blocks=dual_blocks, dual_scale=2.0,
     )
 
 
-def _polynomial_basis(w: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+def _polynomial_basis(w: np.ndarray, cut: float) -> np.ndarray | None:
     """Frobenius-orthonormal basis (n x n x n) of span{I, W, ..., W^(n-1)}
-    by Arnoldi with two Gram-Schmidt passes, or None when a step leaves less
-    than rank_tol (W has unit norm): the minimal polynomial of W has degree
-    below n, so W is derogatory and its centralizer is larger."""
+    by Arnoldi with two Gram-Schmidt passes, or None when a step leaves at
+    most ``cut`` (W has unit norm): the minimal polynomial of W has degree
+    below n at that resolution, so W is derogatory and its centralizer is
+    larger."""
     n = w.shape[0]
     basis = np.empty((n, n * n))
     basis[0] = np.eye(n).reshape(-1) / np.sqrt(n)
@@ -463,7 +523,7 @@ def _polynomial_basis(w: np.ndarray, tol: Tolerances) -> np.ndarray | None:
         for _ in range(2):
             v -= basis[:k].T @ (basis[:k] @ v)
         height = math.sqrt(v @ v)
-        if height <= tol.rank_tol:
+        if height <= cut:
             return None
         basis[k] = v / height
     return basis.reshape(n, n, n)
@@ -495,23 +555,23 @@ def verify_nssp(
     cells, every = np.nonzero(zero), np.divmod(np.arange(n * n), n)
     dual = _commutator_block(w, cells, every)
     dual_blocks = _split(w, dual.shape)(cells, every)
-    small = _svd_work(n * n, len(cells[0])) < CENTRALIZER_MIN_WORK
-    basis = None if small else _polynomial_basis(w, tol)
-    if basis is None:
-        primal, to_matrix = _commutator_block(w, every, cells[::-1]), None
-        primal_blocks = None if dual_blocks is None else dual_blocks[::-1]
-    else:
+
+    def primal(cut):
+        if _svd_work(n * n, len(cells[0])) < CENTRALIZER_MIN_WORK:
+            return None
+        basis = _polynomial_basis(w, cut)
+        if basis is None:
+            return None
         # X^T = sum_k c_k B_k vanishes on the nonzero cells of X
         nonzero = np.nonzero(~zero)
-        primal, primal_blocks = basis[:, nonzero[1], nonzero[0]].T, None
-
-        def to_matrix(c):
-            return np.tensordot(c, basis, axes=1).T
+        system = basis[:, nonzero[1], nonzero[0]].T
+        return lambda _: (system, None, lambda c: np.tensordot(c, basis, axes=1).T)
 
     return _check_and_build(
-        "nssp", n, cells, False, primal, dual, tol,
-        lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300),
-        to_matrix=to_matrix, primal_blocks=primal_blocks, dual_blocks=dual_blocks,
+        "nssp", n, cells, False, dual, tol,
+        lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300), primal,
+        lambda _: (_commutator_block(w, every, cells[::-1]), _transposed(dual_blocks), None),
+        dual_blocks=dual_blocks,
     )
 
 

@@ -77,7 +77,7 @@ class TestVerifyCommand:
     def test_primal_dual_disagreement_exit_eight(self, workdir, capsys, monkeypatch):
         # a dual route that sees rank 0 contradicts the primal verdict
         monkeypatch.setattr(
-            "strongprops.verifiers.rank", lambda a, tol, blocks=None, margin=False: (0, 0.0)
+            "strongprops.verifiers.rank", lambda a, tol, blocks=None, values=False: (0, np.zeros(0))
         )
         code, _, err = run(
             capsys,

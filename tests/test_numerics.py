@@ -163,14 +163,21 @@ class TestDirectSum:
         for case in cases:
             for scales in ([1.0] * len(case), [1e-10] + [1.0] * (len(case) - 1)):
                 a, blocks = self._direct_sum(rng, case, scales)
-                dim, basis, sigma = svd_nullspace(a, DEFAULT_TOL, blocks)
-                whole_dim, _, whole_sigma = svd_nullspace(a)
+                dim, basis = svd_nullspace(a, DEFAULT_TOL, blocks)
+                whole_dim, _ = svd_nullspace(a)
                 assert dim == whole_dim == a.shape[1] - rank(a, DEFAULT_TOL, blocks)
                 assert rank(a, DEFAULT_TOL, blocks) == rank(a)
                 assert basis.shape[1] >= (dim > 0)
                 assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]))
                 assert np.max(np.abs(a @ basis), initial=0.0) <= 1e-8 * fro(a)
-                assert abs(sigma - whole_sigma) <= 1e-12 * max(1.0, whole_sigma)
+                # the blocks' spectra together are the whole matrix's nonzero ones
+                r, values = rank(a, DEFAULT_TOL, blocks, values=True)
+                whole_r, whole = rank(a, DEFAULT_TOL, values=True)
+                assert r == whole_r and np.all(values[:-1] >= values[1:])
+                k = min(values.size, whole.size)
+                assert np.allclose(values[:k], whole[:k], rtol=1e-12, atol=1e-12 * whole[0])
+                assert np.all(np.abs(values[k:]) <= 1e-12 * whole[0])
+                assert np.all(np.abs(whole[k:]) <= 1e-12 * whole[0])
 
     def test_entry_outside_blocks_raises(self):
         a = np.eye(3)

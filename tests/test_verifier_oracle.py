@@ -129,6 +129,43 @@ def _assert_matches(report, expected):
         assert np.isinf(sigma) == np.isinf(expected["sigma"])
 
 
+def _assert_primal_matches(report, expected, residual=1e-8):
+    """The oracle's primal decision, the duality identity and a witness with
+    at most ``residual``, for inputs whose gaps sit near the threshold,
+    where the oracle's unreduced dual (with a larger sigma_max) may count
+    the span differently."""
+    assert (report.holds, report.nullspace_dim) == (expected["holds"], expected["nullspace_dim"])
+    assert report.ambient_dim - report.dual_span_dim == report.nullspace_dim
+    assert report.q_used == expected.get("q_used")
+    assert report.holds or report.witness_residual <= residual
+
+
+@pytest.fixture
+def kronecker_route(monkeypatch):
+    """Records, per verification, [property, whether a small-space primal
+    was offered, whether the Kronecker primal ran]."""
+    routes = []
+    original = verifiers._check_and_build
+
+    def recording(name, n, cells, symmetric, dual, tol, residual_of, primal, kronecker, **kwargs):
+        record = [name, False, False]
+        routes.append(record)
+
+        def offered(cut):
+            route = primal(cut)
+            record[1] = route is not None
+            return route
+
+        def ran(q):
+            record[2] = True
+            return kronecker(q)
+
+        return original(name, n, cells, symmetric, dual, tol, residual_of, offered, ran, **kwargs)
+
+    monkeypatch.setattr(verifiers, "_check_and_build", recording)
+    return routes
+
+
 def _symmetric_corpus():
     """(matrix, graph) pairs, n = 2..10: generic matrices, integer matrices
     and repeated diagonals that fail exactly, and 10^+-6 rescalings."""
@@ -171,7 +208,7 @@ SYMMETRIC = [(verify_ssp, dense_ssp), (verify_smp, dense_smp), (verify_sap, dens
 
 
 @pytest.mark.parametrize("verifier,oracle", SYMMETRIC, ids=["ssp", "smp", "sap"])
-def test_symmetric_properties_match_dense_oracle(verifier, oracle):
+def test_symmetric_properties_match_dense_oracle(verifier, oracle, kronecker_route):
     corpus = _symmetric_corpus()
     verdicts = set()
     for a, g in corpus:
@@ -179,6 +216,8 @@ def test_symmetric_properties_match_dense_oracle(verifier, oracle):
         _assert_matches(report, oracle(a, g))
         verdicts.add(report.holds)
     assert verdicts == {True, False}
+    # no gap sits near the cut: the small-space primal decides every time
+    assert not any(kronecker for _, _, kronecker in kronecker_route)
 
 
 def test_nssp_matches_dense_oracle():
@@ -333,7 +372,7 @@ def _singular_corpus():
 
 
 @pytest.mark.parametrize("verifier,oracle", SYMMETRIC, ids=["ssp", "smp", "sap"])
-def test_exactly_repeated_eigenvalues_match_dense_oracle(verifier, oracle):
+def test_exactly_repeated_eigenvalues_match_dense_oracle(verifier, oracle, kronecker_route):
     verdicts = set()
     for a, g in _repeated_eigenvalue_corpus():
         report = verifier(a, g)
@@ -342,9 +381,10 @@ def test_exactly_repeated_eigenvalues_match_dense_oracle(verifier, oracle):
         verdicts.add(report.holds)
     # a nonsingular matrix has the SAP
     assert verdicts == ({True} if verifier is verify_sap else {True, False})
+    assert not any(kronecker for _, _, kronecker in kronecker_route)
 
 
-def test_singular_sap_matches_dense_oracle():
+def test_singular_sap_matches_dense_oracle(kronecker_route):
     nullities, verdicts = set(), set()
     for a, g in _singular_corpus():
         lam = np.abs(np.linalg.eigvalsh(a))
@@ -355,6 +395,7 @@ def test_singular_sap_matches_dense_oracle():
         verdicts.add(report.holds)
     assert nullities == {1, 2, 3}
     assert verdicts == {True, False}
+    assert not any(kronecker for _, _, kronecker in kronecker_route)
 
 
 def _nonderogatory_corpus(rng):
@@ -401,8 +442,8 @@ def nssp_route(monkeypatch):
     routes = []
     original = verifiers._polynomial_basis
 
-    def recording(w, tol):
-        basis = original(w, tol)
+    def recording(w, cut):
+        basis = original(w, cut)
         routes.append(basis is not None)
         return basis
 
@@ -416,11 +457,13 @@ def nssp_route(monkeypatch):
     (_nilpotent_index_n_corpus, True),
     (_derogatory_corpus, False),
 ], ids=["nonderogatory", "nilpotent-index-n", "derogatory"])
-def test_nssp_routes_match_dense_oracle(corpus, centralizer, nssp_route):
+def test_nssp_routes_match_dense_oracle(corpus, centralizer, nssp_route, kronecker_route):
     for a in corpus(np.random.default_rng(35)):
         nssp_route.clear()
+        kronecker_route.clear()
         report = verify_nssp(a)
         assert nssp_route == [centralizer]
+        assert kronecker_route == [["nssp", centralizer, not centralizer]]
         _assert_matches(report, dense_nssp(a))
         assert report.holds or report.witness_residual <= 1e-8
 
@@ -429,9 +472,9 @@ def test_nssp_default_floor_keeps_small_systems_on_kronecker(monkeypatch):
     sizes = []
     original = verifiers._polynomial_basis
 
-    def recording(w, tol):
+    def recording(w, cut):
         sizes.append(len(w))
-        return original(w, tol)
+        return original(w, cut)
 
     monkeypatch.setattr(verifiers, "_polynomial_basis", recording)
     nilpotent = _nilpotent_index_n_corpus(np.random.default_rng(36))
@@ -476,9 +519,6 @@ def _gap_pairs(rng, gap: float):
 
 @pytest.mark.parametrize("gap", GAPS)
 def test_near_common_eigenvalue_sweep_matches_dense_oracle(gap, nssp_route):
-    # the oracle's unreduced SMP dual and the verifiers' eliminated one
-    # decide the span differently this close to the threshold, so the sweep
-    # checks the verdict, the nullspace and the duality identity
     rng = np.random.default_rng(37)
     for _ in range(8):
         for sym, square in _gap_pairs(rng, gap):
@@ -486,8 +526,85 @@ def test_near_common_eigenvalue_sweep_matches_dense_oracle(gap, nssp_route):
             reports = [(verifier(sym, g), oracle(sym, g)) for verifier, oracle in SYMMETRIC]
             reports.append((verify_nssp(square), dense_nssp(square)))
             for report, expected in reports:
-                assert (report.holds, report.nullspace_dim) == (
-                    expected["holds"], expected["nullspace_dim"])
-                assert report.ambient_dim - report.dual_span_dim == report.nullspace_dim
-                assert report.q_used == expected.get("q_used")
-                assert report.holds or report.witness_residual <= 1e-8
+                _assert_primal_matches(report, expected)
+
+
+def _complete_block(rng, eigenvalues) -> np.ndarray:
+    """Q diag(eigenvalues) Q^T for a random orthogonal Q: a matrix of S(K_p)."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    b = q @ np.diag(eigenvalues) @ q.T
+    return (b + b.T) / 2.0
+
+
+@pytest.mark.parametrize("delta", [1.2e-8, 1.5e-8, 1.8e-8])
+def test_gap_just_above_the_dual_resolution(delta, kronecker_route):
+    # B in S(K3) with eigenvalues -1, 0, 1 plus an isolated vertex at delta:
+    # the coupling of 0 and delta lies on non-edges, and its singular value
+    # delta clears the dual's cut rank_tol * (1 + delta) (in A's units),
+    # though delta is under rank_tol * (lambda_max - lambda_min)
+    b = _complete_block(np.random.default_rng(38), [-1.0, 0.0, 1.0])
+    a = scipy.linalg.block_diag(b, [[delta]])
+    g = _support_graph(a)
+    for verifier, oracle in SYMMETRIC:
+        report = verifier(a, g)
+        _assert_primal_matches(report, oracle(a, g))
+        assert report.holds
+    assert kronecker_route == [[name, True, False] for name in ("ssp", "smp", "sap")]
+
+
+@pytest.mark.parametrize("factor", [0.6, 0.8])
+def test_chained_cluster_is_decided_by_the_kronecker_primal(factor, kronecker_route):
+    # eigenvalues 0, f c and 2 f c in three components, c = 1e-8 about the
+    # dual's cut: the consecutive gaps chain into one cluster, while the
+    # outer pair's gap 2 f c is above the cut, so the commutant reads one
+    # null coupling more than the dual and the Kronecker primal decides
+    b = _complete_block(np.random.default_rng(39), [-1.0, 0.0, 1.0])
+    a = scipy.linalg.block_diag(b, [[factor * 1e-8]], [[2.0 * factor * 1e-8]])
+    g = _support_graph(a)
+    for verifier, oracle in SYMMETRIC:
+        report = verifier(a, g)
+        _assert_primal_matches(report, oracle(a, g))
+        assert report.nullspace_dim == (1 if verifier is verify_sap else 2)
+    assert [record[2] for record in kronecker_route[:2]] == [True, True]
+
+
+def _interior_gap_pairs(rng, factor: float):
+    """(symmetric, square) pairs: a complete component whose spectrum spans
+    [-1, 1] around an interior eigenvalue mu (0 in half the cases, for the
+    SAP), and a component (a vertex or an edge) with the eigenvalue
+    mu + factor * rank_tol * 2, so the gap sits at ``factor`` times
+    rank_tol * (lambda_max - lambda_min).  The square one is S diag S^-1
+    for a random S, with the same second component."""
+    p = int(rng.integers(3, 6))
+    lam = np.r_[-1.0, 1.0, rng.uniform(-0.8, 0.8, p - 2)]
+    mu = lam[2] = 0.0 if rng.random() < 0.5 else lam[2]
+    other = mu + factor * DEFAULT_TOL.rank_tol * 2.0
+    if rng.random() < 0.5:
+        second = np.array([[other]])
+    else:
+        second = np.diag(rng.uniform(-0.5, 0.5, 2)) + np.diag([rng.uniform(0.3, 1.0)], 1)
+        second = second + second.T - np.diag(np.diag(second))
+        second += (other - np.linalg.eigvalsh(second)[rng.integers(0, 2)]) * np.eye(2)
+    s = rng.normal(size=(p, p))
+    square = scipy.linalg.block_diag(s @ np.diag(lam) @ np.linalg.inv(s), second)
+    perm = rng.permutation(p + len(second))
+    sym = scipy.linalg.block_diag(_complete_block(rng, lam), second)
+    return sym[np.ix_(perm, perm)], square[np.ix_(perm, perm)]
+
+
+def test_interior_gap_sweep_at_the_resolution_matches_dense_oracle(nssp_route):
+    rng = np.random.default_rng(40)
+    verdicts = set()
+    for factor in np.linspace(0.5, 2.0, 16):
+        for _ in range(4):
+            sym, square = _interior_gap_pairs(rng, factor)
+            g = _support_graph(sym)
+            reports = [(verifier(sym, g), oracle(sym, g)) for verifier, oracle in SYMMETRIC]
+            reports.append((verify_nssp(square), dense_nssp(square)))
+            for report, expected in reports:
+                # a witness's residual is its singular value, which may reach
+                # the cut rank_tol * sigma_max <= 2 rank_tol at this gap
+                _assert_primal_matches(report, expected, 2.0 * DEFAULT_TOL.rank_tol)
+                verdicts.add((report.property_name, report.holds))
+    assert verdicts == {(name, held) for name in ("ssp", "smp", "sap", "nssp")
+                        for held in (True, False)}
