@@ -222,43 +222,87 @@ def _transposed(blocks):
     return None if blocks is None else blocks[::-1]
 
 
+#: The primal route over the small space X lies in, by property.
+_SMALL_PRIMAL = {"ssp": "commutant", "smp": "commutant", "sap": "kernel", "nssp": "centralizer"}
+
+
+def _dense_dual(assemble, blocks, scale: float, tol: Tolerances):
+    """The dual route that always decides: a values-only SVD of the dense
+    dual ``assemble()``, block by block when ``blocks`` splits it (see
+    :func:`_split`).  Gives (rank, sigma_max, sigma_m) in the units of the
+    Kronecker primal, sigma_m the m-th singular value (0 when the dual has
+    fewer)."""
+
+    def route():
+        dual = assemble()
+        dual_rank, values = rank(dual, tol, blocks, values=True)
+        values = values / scale
+        m = dual.shape[0]
+        margin = float(values[m - 1]) if 0 < m <= values.size else 0.0
+        return dual_rank, float(values.max(initial=0.0)), margin
+
+    return route
+
+
+def _dual_routes(dense, blocks, tol: Tolerances, scale: float = 1.0):
+    """The ordered dual routes of one verification, as (name, route) pairs;
+    the last always decides."""
+    return (("dense", _dense_dual(dense, blocks, scale, tol)),)
+
+
 def _check_and_build(
-    name, n, cells, symmetric, dual, tol, residual_of, primal, kronecker, *,
-    dual_blocks=None, dual_scale=1.0, q_used=None, alt_qs=(),
+    name, n, cells, symmetric, duals, tol, residual_of, primal, kronecker, *,
+    q_used=None, alt_qs=(),
 ) -> StrongPropertyReport:
     """Decide both routes and build the report.
 
-    ``dual`` has one row per constrained cell: the coordinates not
-    eliminated from the ambient space.  Its singular values are those of the
-    Kronecker primal times ``dual_scale``; it is factored first and gives
-    the margin and the resolution cut = rank_tol * sigma_max of the
-    Kronecker primal.  ``dual_blocks`` are its direct-sum labels (see
-    :func:`_split`), None for a system kept whole.
+    The dual has one row per constrained cell: the coordinates not
+    eliminated from the ambient space.  ``duals`` are its routes, in order
+    (see :func:`_dual_routes`): each gives (rank, sigma_max, sigma_m) in the
+    units of the Kronecker primal, or None when it cannot decide.  The first
+    decision gives the margin sigma_m and the resolution cut = rank_tol *
+    sigma_max; when the primal then disagrees with it, the next dual route
+    decides, and only a disagreement with the last raises
+    :class:`InternalCheckError`.
 
-    A route maps the SMP's q (None elsewhere) to (system, direct-sum labels,
-    map from null vectors to X or None); its null vectors are the solutions
-    X.  ``primal(cut)`` is the route over the small space X lies in, or None
-    where none applies, and decides when its nullity is the dual's.
-    Otherwise ``kronecker``, the Kronecker primal over the constrained
-    ``cells``, decides: the two routes can read a coupling across an
-    eigenvalue gap near the cut differently, and the Kronecker primal has
-    the dual's singular values.  The SMP alternatives ``alt_qs`` are tried
-    on the route that decided."""
+    A primal route maps the SMP's q (None elsewhere) to (system, direct-sum
+    labels, map from null vectors to X or None); its null vectors are the
+    solutions X.  ``primal(cut)`` is the route over the small space X lies
+    in, or None where none applies, and decides when its nullity is the
+    dual's.  Otherwise ``kronecker``, the Kronecker primal over the
+    constrained ``cells``, decides: the two routes can read a coupling
+    across an eigenvalue gap near the cut differently, and the Kronecker
+    primal has the dual's singular values.  The SMP alternatives ``alt_qs``
+    are tried on the primal route that decided."""
     m = len(cells[0])
     ambient = n * (n + 1) // 2 if symmetric else n * n
-    dual_rank, values = rank(dual, tol, dual_blocks, values=True)
-    values = values / dual_scale
-    dual_dim = ambient - m + dual_rank
-    dual_verdict = dual_dim == ambient
-    null_dim, witness, alternatives = 0, None, [(alt, True) for alt in alt_qs]
+    mismatches = []
+    for dual_name, dual in duals:
+        decided = dual()
+        if decided is None:
+            continue
+        dual_rank, sigma_max, margin = decided
+        dual_dim = ambient - m + dual_rank
+        primal_name, null_dim = "no", 0
+        if m:
+            # the constrained subspace is not {O}: solve
+            small = primal(tol.rank_tol * sigma_max)
+            for primal_name, route in ((_SMALL_PRIMAL[name], small), ("Kronecker", kronecker)):
+                if route is not None:
+                    system, blocks, to_matrix = route(q_used)
+                    null_dim, null_basis = _primal_nullspace(system, tol, blocks)
+                    if null_dim == m - dual_rank:
+                        break
+        if (null_dim == 0) == (dual_dim == ambient):
+            break
+        mismatches.append(
+            f"{primal_name} primal verdict {null_dim == 0} (nullspace {null_dim}) disagrees "
+            f"with {dual_name} dual verdict {dual_dim == ambient} (span {dual_dim}/{ambient})"
+        )
+    else:
+        raise InternalCheckError(f"{name}: " + "; ".join(mismatches))
+    witness, alternatives = None, [(alt, True) for alt in alt_qs]
     if m:
-        # the constrained subspace is not {O}: solve
-        for route in (primal(tol.rank_tol * float(values.max(initial=0.0))), kronecker):
-            if route is not None:
-                system, blocks, to_matrix = route(q_used)
-                null_dim, null_basis = _primal_nullspace(system, tol, blocks)
-                if null_dim == m - dual_rank:
-                    break
         if null_dim:
             coeffs = null_basis[:, 0]
             if to_matrix is not None:
@@ -268,21 +312,14 @@ def _check_and_build(
         for alt in alt_qs:
             system, blocks, _ = route(alt)
             alternatives.append((alt, _primal_nullspace(system, tol, blocks)[0] == 0))
-    holds = null_dim == 0
-    if dual_verdict != holds:
-        raise InternalCheckError(
-            f"{name}: primal verdict {holds} disagrees with dual verdict "
-            f"{dual_verdict} (nullspace {null_dim}, dual span {dual_dim}/{ambient})"
-        )
     return StrongPropertyReport(
         property_name=name,
-        holds=holds,
+        holds=null_dim == 0,
         nullspace_dim=null_dim,
-        smallest_structural_singular_value=(
-            float("inf") if not m else float(values[m - 1]) if values.size >= m else 0.0),
+        smallest_structural_singular_value=margin if m else float("inf"),
         dual_span_dim=dual_dim,
         ambient_dim=ambient,
-        dual_verdict=dual_verdict,
+        dual_verdict=dual_dim == ambient,
         witness=witness,
         witness_residual=None if witness is None else residual_of(witness),
         q_used=q_used,
@@ -400,17 +437,18 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     spans all symmetric matrices.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    cells, upper, dual = _commutator_dual(w, g)
-    dual_blocks = _split(w, dual.shape)(cells, upper)
+    cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
+    dual_blocks = _split(w, (len(cells[0]), len(upper[0])))(cells, upper)
 
     def primal(cut):
         system, _, to_matrix = _commutant_system(sym_eig(w, tol), cut, g)
         return lambda _: (system, None, to_matrix)
 
     return _check_and_build(
-        "ssp", g.n, cells, True, dual, tol, _commutator_residual(a), primal,
+        "ssp", g.n, cells, True,
+        _dual_routes(lambda: _commutator_dual(w, g)[2], dual_blocks, tol),
+        tol, _commutator_residual(a), primal,
         lambda _: (_commutator_primal(w, cells, upper), _transposed(dual_blocks), None),
-        dual_blocks=dual_blocks,
     )
 
 
@@ -459,8 +497,9 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     eig = sym_eig(w, tol)
     lam = eig.eigenvalues
     q, alt_qs = _smp_q_candidates(lam, tol)
-    cells, upper, dual = _commutator_dual(w, g)
-    split = _split(w, (dual.shape[0], dual.shape[1] + q))
+    cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
+    split = _split(w, (len(cells[0]), len(upper[0]) + q))
+    dual_blocks = split(cells, upper, q)
 
     def primal(cut):
         commutant, diagonal, to_matrix = _commutant_system(eig, cut, g)
@@ -474,13 +513,14 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
         return route
 
     return _check_and_build(
-        "smp", g.n, cells, True, np.hstack([dual, _trace_rows(w, cells, q).T]),
+        "smp", g.n, cells, True,
+        _dual_routes(lambda: np.hstack([_commutator_dual(w, g)[2], _trace_rows(w, cells, q).T]),
+                     dual_blocks, tol),
         tol, _commutator_residual(a), primal,
         lambda q_val: (
             np.vstack([_commutator_primal(w, cells, upper), _trace_rows(w, cells, q_val)]),
             _transposed(split(cells, upper, q_val)), None),
-        dual_blocks=split(cells, upper, q), q_used=q,
-        alt_qs=[alt for alt in alt_qs if 1 <= alt <= g.n],
+        q_used=q, alt_qs=[alt for alt in alt_qs if 1 <= alt <= g.n],
     )
 
 
@@ -490,9 +530,11 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     ranging over all square matrices."""
     a, w = _prepare_symmetric(a, g, tol)
     cells, every = _non_edges(g), np.divmod(np.arange(g.n * g.n), g.n)
-    # twice the transpose of the Kronecker primal (n^2 rows x orthonormal pairs)
-    dual = SQRT2 * (_left_block(w, cells, every) + _left_block(w, cells[::-1], every))
-    dual_blocks = _split(w, dual.shape)(cells, every)
+    dual_blocks = _split(w, (len(cells[0]), g.n * g.n))(cells, every)
+
+    def dual():
+        # twice the transpose of the Kronecker primal (n^2 rows x orthonormal pairs)
+        return SQRT2 * (_left_block(w, cells, every) + _left_block(w, cells[::-1], every))
 
     def primal(cut):
         eig = sym_eig(w, tol)
@@ -501,11 +543,10 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
         return lambda _: (system, None, to_matrix)
 
     return _check_and_build(
-        "sap", g.n, cells, True, dual, tol, lambda x: fro(a @ x) / max(fro(a), 1e-300),
-        primal,
+        "sap", g.n, cells, True, _dual_routes(dual, dual_blocks, tol, scale=2.0),
+        tol, lambda x: fro(a @ x) / max(fro(a), 1e-300), primal,
         lambda _: ((_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2,
                    _transposed(dual_blocks), None),
-        dual_blocks=dual_blocks, dual_scale=2.0,
     )
 
 
@@ -553,8 +594,7 @@ def verify_nssp(
     w = a / scale if scale > 0 else a
     zero = pattern.as_array() == 0
     cells, every = np.nonzero(zero), np.divmod(np.arange(n * n), n)
-    dual = _commutator_block(w, cells, every)
-    dual_blocks = _split(w, dual.shape)(cells, every)
+    dual_blocks = _split(w, (len(cells[0]), n * n))(cells, every)
 
     def primal(cut):
         if _svd_work(n * n, len(cells[0])) < CENTRALIZER_MIN_WORK:
@@ -568,10 +608,10 @@ def verify_nssp(
         return lambda _: (system, None, lambda c: np.tensordot(c, basis, axes=1).T)
 
     return _check_and_build(
-        "nssp", n, cells, False, dual, tol,
-        lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300), primal,
+        "nssp", n, cells, False,
+        _dual_routes(lambda: _commutator_block(w, cells, every), dual_blocks, tol),
+        tol, lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300), primal,
         lambda _: (_commutator_block(w, every, cells[::-1]), _transposed(dual_blocks), None),
-        dual_blocks=dual_blocks,
     )
 
 
