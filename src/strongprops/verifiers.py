@@ -70,13 +70,28 @@ The eliminated dual block is the transpose of the Kronecker form of the
 primal (the same equations over the orthonormal cell coordinates), up to
 sign and a row permutation, and twice it for the SAP - the duality
 itself.  Its m-th singular value, m its row count, is therefore the
-primal's smallest one and is reported as the margin.  The routes are
-assembled and factored separately, so an assembly error in the dual or
-the Kronecker primal surfaces as a primal/dual mismatch or, in a split
-system, as a nonzero outside its blocks, raising
-:class:`InternalCheckError`; one in a small-space primal that moves its
-nullity hands the decision to the Kronecker primal, and the oracle tests
-check which route decided.
+primal's smallest one and is reported as the margin.
+
+Like the primal, the dual has routes, tried in order:
+
+Gram
+    Whole duals whose rows * cols * min(rows, cols) reaches GRAM_MIN_WORK:
+    a Cholesky of the m x m matrix G = D D^T, assembled sparse from W's
+    nonzeros, and Lanczos for sigma_max^2 on G and sigma_m^2 on G^-1.  G
+    squares the condition number, so this route decides only "full row
+    rank", and only when sigma_m >= GRAM_GATE * sigma_max, far above the
+    cut; otherwise it gives no decision.
+dense
+    A values-only SVD of the dense dual, whole or split; it always decides.
+
+When the primal disagrees with the Gram route, the dense dual decides.
+The routes are assembled and factored separately, so an assembly error in
+the dual or the Kronecker primal surfaces as a primal/dual mismatch or, in
+a split system, as a nonzero outside its blocks, raising
+:class:`InternalCheckError`, whose message names the primal route that
+decided and each dual route it disagreed with; one in a small-space
+primal that moves its nullity hands the decision to the Kronecker primal,
+and the oracle tests check which routes decided.
 
 Inputs are normalized to unit Frobenius norm internally (all four
 properties are invariant under nonzero scaling), so verdicts do not
@@ -85,10 +100,13 @@ depend on the scale of A.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.blas import dtrsv
 
 from .errors import InputError, InternalCheckError
 from .numerics import (
@@ -121,6 +139,19 @@ SPLIT_MIN_WORK = 10**6
 #: crossover, under which the Arnoldi steps cost more than the SVD they save.
 CENTRALIZER_MIN_WORK = 3 * 10**4
 
+#: rows * cols * min(rows, cols) of a whole dual from which the Gram route is
+#: tried before the dense SVD: the measured crossover, under which the
+#: Cholesky and the two Lanczos runs cost more than the SVD they save.
+GRAM_MIN_WORK = 10**7
+
+#: sigma_m / sigma_max from which the Gram route decides that the dual has
+#: full row rank.  D D^T resolves sigma only down to about sqrt(m eps) *
+#: sigma_max (under 1e-6 for m up to 4,500 rows); the rank cut is rank_tol.
+GRAM_GATE = 1e-6
+
+#: Lanczos vectors kept by each of the Gram route's runs.
+GRAM_NCV = 8
+
 
 @dataclass(frozen=True, eq=False)
 class StrongPropertyReport:
@@ -134,7 +165,9 @@ class StrongPropertyReport:
     is the smallest singular value of the defining equations over the
     orthonormal cell coordinates of the constrained subspace, i.e. the
     margin by which the verdict clears the rank tolerance, read from the
-    dual (inf when the constrained subspace is trivial).
+    dual route that decided (inf when the constrained subspace is trivial):
+    the dense SVD's value, or the Gram route's ||D^T u||, which agrees with
+    it to about eps * sigma_max / sigma_m relative.
     """
 
     property_name: str
@@ -186,6 +219,30 @@ def _commutator_block(w, rows, cols) -> np.ndarray:
     C[ab, ij] = W[a, i] [b = j] - [a = i] W[j, b].  On the cell (a, b)
     itself the entry is the one subtraction W[a, a] - W[b, b]."""
     return _left_block(w, rows, cols) - (rows[0][:, None] == cols[0]) * w[cols[1]].T[rows[1]]
+
+
+def _kronecker_entries(w, rows, commutator=True):
+    """(row, column, value) of the nonzeros of rows (a, b) of C (of D when
+    not ``commutator``) over all n^2 columns (i, j), read from the nonzeros
+    of W: W[a, i] at (i, b), and -W[j, b] at (a, j) for C."""
+    n = w.shape[0]
+    k, i = np.nonzero(w[rows[0]])
+    entries = [(k, i * n + rows[1][k], w[rows[0][k], i])]
+    if commutator:
+        k, j = np.nonzero(w[:, rows[1]].T)
+        entries.append((k, rows[0][k] * n + j, -w[j, rows[1][k]]))
+    return [np.concatenate(part) for part in zip(*entries)]
+
+
+def _sparse(entries, shape, columns=None):
+    """CSR matrix of (row, column, value) ``entries`` (repeats summed),
+    its columns relabelled by ``columns`` = (new index, sign) per column."""
+    import scipy.sparse
+
+    k, col, value = entries
+    if columns is not None:
+        col, value = columns[0][col], columns[1][col] * value
+    return scipy.sparse.csr_matrix((value, (k, col)), shape=shape)
 
 
 def _upper_mask(n: int) -> np.ndarray:
@@ -244,10 +301,69 @@ def _dense_dual(assemble, blocks, scale: float, tol: Tolerances):
     return route
 
 
-def _dual_routes(dense, blocks, tol: Tolerances, scale: float = 1.0):
-    """The ordered dual routes of one verification, as (name, route) pairs;
-    the last always decides."""
-    return (("dense", _dense_dual(dense, blocks, scale, tol)),)
+def _gram_dual(assemble, scale: float):
+    """The dual route that decides only "full row rank", from a Cholesky of
+    the m x m Gram matrix G = D D^T.  ``assemble()`` gives D as a sparse
+    matrix and its dense trailing columns T (the SMP's trace columns, or
+    None), so G is one sparse product plus T T^T.  sigma_max^2 is read by
+    Lanczos on G and sigma_m^2 by Lanczos on G^-1 through the factor, both
+    from a fixed-seed start vector.  It gives (m, sigma_max, sigma_m) in the
+    units of the Kronecker primal when the Cholesky succeeds, both runs
+    converge and sigma_m >= GRAM_GATE * sigma_max, else None.  The margin
+    is ||D^T u|| for the unit Lanczos vector u of sigma_m, which reads
+    sigma_m from D and not from G, so it keeps the dense SVD's relative
+    accuracy of about eps * sigma_max / sigma_m."""
+
+    def route():
+        # imported here: the module costs time and memory that only large
+        # verifications repay
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        sparse, dense = assemble()
+        gram = (sparse @ sparse.T).toarray()
+        if dense is not None:
+            gram += dense @ dense.T
+        try:
+            upper = scipy.linalg.cholesky(gram, check_finite=False)  # G = U^T U
+        except np.linalg.LinAlgError:  # G is not numerically positive definite
+            return None
+        # a seeded start, and seeded restarts where scipy's eigsh takes a
+        # generator: the same input gives the same margin in every process
+        start = np.random.default_rng(0).standard_normal(len(gram))
+        options = dict(k=1, v0=start, ncv=GRAM_NCV, tol=1e-10)
+        if "rng" in inspect.signature(eigsh).parameters:
+            options["rng"] = 0
+        # G^-1 x by two triangular solves (xTRSV: xPOTRS on one vector is slower)
+        inverse = LinearOperator(
+            gram.shape, lambda x: dtrsv(upper, dtrsv(upper, x, trans=1)), dtype=float)
+        try:
+            top = eigsh(gram, return_eigenvectors=False, **options)[0]
+            bottom, u = eigsh(inverse, **options)
+        except ArpackNoConvergence:
+            return None
+        sigma_max = math.sqrt(top)
+        if not bottom[0] * (GRAM_GATE * sigma_max) ** 2 <= 1.0:
+            return None
+        u = u[:, 0]
+        margin = float(np.linalg.norm(sparse.T @ u))
+        if dense is not None:
+            margin = math.hypot(margin, float(np.linalg.norm(dense.T @ u)))
+        return len(gram), sigma_max / scale, margin / scale
+
+    return route
+
+
+def _dual_routes(shape, blocks, dense, sparse, tol: Tolerances, scale: float = 1.0):
+    """The ordered dual routes of one verification, as (name, route) pairs:
+    the Gram route (:func:`_gram_dual`, ``sparse``) for whole duals of two
+    rows or more (Lanczos needs two) whose rows * cols * min(rows, cols)
+    reaches GRAM_MIN_WORK, then the dense SVD (:func:`_dense_dual`,
+    ``dense``), which always decides.  The dual's singular values are the
+    Kronecker primal's times ``scale``."""
+    routes = (("dense", _dense_dual(dense, blocks, scale, tol)),)
+    if blocks is None and shape[0] > 1 and _svd_work(*shape) >= GRAM_MIN_WORK:
+        routes = (("Gram", _gram_dual(sparse, scale)),) + routes
+    return routes
 
 
 def _check_and_build(
@@ -419,6 +535,18 @@ def _commutator_dual(w: np.ndarray, g: Graph):
     return cells, upper, dual
 
 
+def _sparse_commutator_dual(w: np.ndarray, cells, upper):
+    """The eliminated SSP dual of :func:`_commutator_dual` as a sparse
+    matrix: C's column (i, j) goes to the skew pair E_ij - E_ji with sign +1
+    above the diagonal and -1 below it."""
+    n = w.shape[0]
+    pair = np.zeros((n, n), dtype=int)
+    pair[upper] = np.arange(len(upper[0]))
+    sign = np.sign(np.subtract.outer(np.arange(n), np.arange(n))).T
+    return _sparse(_kronecker_entries(w, cells), (len(cells[0]), len(upper[0])),
+                   ((pair + pair.T).reshape(-1), sign.reshape(-1)))
+
+
 def _commutator_primal(w: np.ndarray, cells, upper) -> np.ndarray:
     """The halved Kronecker SSP primal (upper rows x non-edge pairs), which
     the dual transposes."""
@@ -446,7 +574,9 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "ssp", g.n, cells, True,
-        _dual_routes(lambda: _commutator_dual(w, g)[2], dual_blocks, tol),
+        _dual_routes((len(cells[0]), len(upper[0])), dual_blocks,
+                     lambda: _commutator_dual(w, g)[2],
+                     lambda: (_sparse_commutator_dual(w, cells, upper), None), tol),
         tol, _commutator_residual(a), primal,
         lambda _: (_commutator_primal(w, cells, upper), _transposed(dual_blocks), None),
     )
@@ -514,8 +644,10 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "smp", g.n, cells, True,
-        _dual_routes(lambda: np.hstack([_commutator_dual(w, g)[2], _trace_rows(w, cells, q).T]),
-                     dual_blocks, tol),
+        _dual_routes((len(cells[0]), len(upper[0]) + q), dual_blocks,
+                     lambda: np.hstack([_commutator_dual(w, g)[2], _trace_rows(w, cells, q).T]),
+                     lambda: (_sparse_commutator_dual(w, cells, upper), _trace_rows(w, cells, q).T),
+                     tol),
         tol, _commutator_residual(a), primal,
         lambda q_val: (
             np.vstack([_commutator_primal(w, cells, upper), _trace_rows(w, cells, q_val)]),
@@ -536,6 +668,11 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
         # twice the transpose of the Kronecker primal (n^2 rows x orthonormal pairs)
         return SQRT2 * (_left_block(w, cells, every) + _left_block(w, cells[::-1], every))
 
+    def sparse():
+        halves = _kronecker_entries(w, cells, False), _kronecker_entries(w, cells[::-1], False)
+        k, col, value = (np.concatenate(part) for part in zip(*halves))
+        return _sparse((k, col, SQRT2 * value), (len(cells[0]), g.n * g.n)), None
+
     def primal(cut):
         eig = sym_eig(w, tol)
         kernel = np.abs(eig.eigenvalues) <= cut
@@ -543,7 +680,8 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
         return lambda _: (system, None, to_matrix)
 
     return _check_and_build(
-        "sap", g.n, cells, True, _dual_routes(dual, dual_blocks, tol, scale=2.0),
+        "sap", g.n, cells, True,
+        _dual_routes((len(cells[0]), g.n * g.n), dual_blocks, dual, sparse, tol, scale=2.0),
         tol, lambda x: fro(a @ x) / max(fro(a), 1e-300), primal,
         lambda _: ((_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2,
                    _transposed(dual_blocks), None),
@@ -609,7 +747,10 @@ def verify_nssp(
 
     return _check_and_build(
         "nssp", n, cells, False,
-        _dual_routes(lambda: _commutator_block(w, cells, every), dual_blocks, tol),
+        _dual_routes((len(cells[0]), n * n), dual_blocks,
+                     lambda: _commutator_block(w, cells, every),
+                     lambda: (_sparse(_kronecker_entries(w, cells), (len(cells[0]), n * n)), None),
+                     tol),
         tol, lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300), primal,
         lambda _: (_commutator_block(w, every, cells[::-1]), _transposed(dual_blocks), None),
     )

@@ -608,3 +608,103 @@ def test_interior_gap_sweep_at_the_resolution_matches_dense_oracle(nssp_route):
                 verdicts.add((report.property_name, report.holds))
     assert verdicts == {(name, held) for name in ("ssp", "smp", "sap", "nssp")
                         for held in (True, False)}
+
+
+@pytest.fixture
+def dual_route(monkeypatch):
+    """Tries the Gram route on every whole dual of two rows or more (its
+    work floor at 0), and records, per verification, [property, the dual
+    routes that gave a decision in order, whether a small-space primal
+    handed its decision to the Kronecker primal]; the last route listed
+    decided."""
+    monkeypatch.setattr(verifiers, "GRAM_MIN_WORK", 0)
+    routes = []
+    original = verifiers._check_and_build
+
+    def recording(name, n, cells, symmetric, duals, tol, residual_of, primal, kronecker, **kwargs):
+        record, offered = [name, [], False], [False]
+        routes.append(record)
+
+        def traced(dual_name, dual):
+            def route():
+                decided = dual()
+                if decided is not None:
+                    record[1].append(dual_name)
+                return decided
+
+            return dual_name, route
+
+        def small(cut):
+            route = primal(cut)
+            offered[0] = route is not None
+            return route
+
+        def handed(q):
+            record[2] = record[2] or offered[0]
+            return kronecker(q)
+
+        return original(name, n, cells, symmetric, [traced(*d) for d in duals], tol, residual_of,
+                        small, handed, **kwargs)
+
+    monkeypatch.setattr(verifiers, "_check_and_build", recording)
+    return routes
+
+
+def _assert_dense_decides_where_needed(reports, dual_route):
+    """The dense dual alone decided every failing verification and every one
+    a small-space primal handed to the Kronecker primal (the Gram route gave
+    no decision there); the Gram route decided at least one."""
+    assert len(reports) == len(dual_route)
+    for report, (_, decided_by, handed) in zip(reports, dual_route):
+        if handed or not report.holds:
+            assert decided_by == ["dense"]
+    assert any(decided_by == ["Gram"] for _, decided_by, _ in dual_route)
+
+
+@pytest.mark.parametrize("verifier,oracle", SYMMETRIC, ids=["ssp", "smp", "sap"])
+def test_gram_route_matches_dense_oracle_on_symmetric_corpora(verifier, oracle, dual_route):
+    reports = []
+    for a, g in _symmetric_corpus() + _repeated_eigenvalue_corpus():
+        reports.append(verifier(a, g))
+        _assert_matches(reports[-1], oracle(a, g))
+    _assert_dense_decides_where_needed(reports, dual_route)
+
+
+def test_gram_route_matches_dense_oracle_on_square_and_singular_corpora(dual_route):
+    reports = []
+    for a in _square_corpus():
+        reports.append(verify_nssp(a))
+        _assert_matches(reports[-1], dense_nssp(a))
+    for a, g in _singular_corpus():
+        reports.append(verify_sap(a, g))
+        _assert_matches(reports[-1], dense_sap(a, g))
+    assert {report.holds for report in reports} == {True, False}
+    _assert_dense_decides_where_needed(reports, dual_route)
+
+
+def test_gram_route_interior_gap_sweep_matches_dense_oracle(nssp_route, dual_route):
+    rng = np.random.default_rng(40)
+    reports = []
+    for factor in np.linspace(0.5, 2.0, 16):
+        for _ in range(4):
+            sym, square = _interior_gap_pairs(rng, factor)
+            g = _support_graph(sym)
+            pairs = [(verifier(sym, g), oracle(sym, g)) for verifier, oracle in SYMMETRIC]
+            pairs.append((verify_nssp(square), dense_nssp(square)))
+            for report, expected in pairs:
+                _assert_primal_matches(report, expected, 2.0 * DEFAULT_TOL.rank_tol)
+                reports.append(report)
+    _assert_dense_decides_where_needed(reports, dual_route)
+
+
+def test_gram_route_gap_just_above_the_dual_resolution(dual_route):
+    # the B (+) [1.5e-8] reproducer: its margin is about 1.5e-8, under the
+    # Gram route's gate, so the dense dual decides
+    b = _complete_block(np.random.default_rng(38), [-1.0, 0.0, 1.0])
+    a = scipy.linalg.block_diag(b, [[1.5e-8]])
+    g = _support_graph(a)
+    for verifier, oracle in SYMMETRIC:
+        report = verifier(a, g)
+        _assert_primal_matches(report, oracle(a, g))
+        assert report.holds
+    assert [decided_by for _, decided_by, _ in dual_route] == [["dense"]] * 3

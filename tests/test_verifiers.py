@@ -1,3 +1,4 @@
+import json
 from unittest.mock import patch
 
 import numpy as np
@@ -425,3 +426,148 @@ def test_kronecker_blocks_keep_the_signed_zeros_of_their_products():
             left, commutator = _elementwise_blocks(w, rows, cols)
             assert verifiers._left_block(w, rows, cols).tobytes() == left.tobytes()
             assert verifiers._commutator_block(w, rows, cols).tobytes() == commutator.tobytes()
+
+
+DECISION_FIELDS = ("holds", "nullspace_dim", "dual_span_dim", "dual_verdict", "q_used", "q_alternatives")
+
+
+@st.composite
+def _mixed_instances(draw):
+    """A symmetric matrix, whose nonzero off-diagonal entries define its
+    graph, and a square one, n <= 10, with entries from a few integers
+    (exact failures are common) and reals away from zero, plus a vertex
+    permutation and a scale 10^+-6."""
+    n = draw(st.integers(2, 10))
+    entries = st.one_of(st.integers(-2, 2).map(float), st.floats(0.25, 4.0), st.floats(-4.0, -0.25))
+    sym = np.diag(draw(st.lists(entries, min_size=n, max_size=n)))
+    rows, cols = np.triu_indices(n, 1)
+    sym[rows, cols] = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    sym[cols, rows] = sym[rows, cols]
+    square = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    perm = draw(st.permutations(range(n)))
+    return sym, square.reshape(n, n), perm, draw(st.sampled_from([1e-6, 1e6]))
+
+
+@settings(max_examples=30)
+@given(_mixed_instances())
+def test_gram_route_decisions_and_margins_invariant_under_permutation_and_scaling(instance):
+    sym, square, perm, scale = instance
+    n = sym.shape[0]
+    p = np.zeros((n, n))
+    p[perm, np.arange(n)] = 1.0
+    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if sym[i, j]])
+    moved_sym = scale * (p @ sym @ p.T)
+    with patch.object(verifiers, "GRAM_MIN_WORK", 0):
+        pairs = [(verifier(sym, g), verifier(moved_sym, g.permuted(perm)))
+                 for verifier in ALL_SYMMETRIC]
+        pairs.append((verify_nssp(square), verify_nssp(scale * (p @ square @ p.T))))
+    for base, moved in pairs:
+        decisions = [(getattr(base, f), getattr(moved, f)) for f in DECISION_FIELDS]
+        assert all(before == after for before, after in decisions)
+        if base.holds:
+            margin = base.smallest_structural_singular_value
+            assert moved.smallest_structural_singular_value == pytest.approx(margin, rel=1e-9)
+
+
+class TestGramRoute:
+    @pytest.fixture
+    def gram_decisions(self, monkeypatch):
+        """Whether each Gram route run decided."""
+        decided = []
+        original = verifiers._gram_dual
+
+        def recording(assemble, scale):
+            route = original(assemble, scale)
+
+            def traced():
+                out = route()
+                decided.append(out is not None)
+                return out
+
+            return traced
+
+        monkeypatch.setattr(verifiers, "_gram_dual", recording)
+        return decided
+
+    def test_sparse_duals_equal_the_dense_duals(self, monkeypatch):
+        assemblers = []
+        original = verifiers._dual_routes
+
+        def recording(shape, blocks, dense, sparse, *args, **kwargs):
+            assemblers.append((dense, sparse))
+            return original(shape, blocks, dense, sparse, *args, **kwargs)
+
+        monkeypatch.setattr(verifiers, "_dual_routes", recording)
+        rng = np.random.default_rng(43)
+        for n in (2, 5, 8):
+            g = random_graph(rng, n)
+            a = random_in_graph_class(rng, g)
+            for verifier in ALL_SYMMETRIC:
+                verifier(a, g)
+            verify_nssp(random_square_with_zeros(rng, n))
+        for dense, sparse in assemblers:
+            matrix, trailing = sparse()
+            full = matrix.toarray() if trailing is None else np.hstack([matrix.toarray(), trailing])
+            assert np.array_equal(full, dense())
+
+    def test_verifications_at_n32_are_deterministic(self, gram_decisions):
+        rng = np.random.default_rng(44)
+        path = Graph.path(32)
+        a = random_in_graph_class(rng, path)
+        square = rng.normal(size=(32, 32)) * (rng.random((32, 32)) < 0.5)
+        np.fill_diagonal(square, 1.0 + rng.random(32))
+        calls = [lambda: verify_ssp(a, path), lambda: verify_smp(a, path),
+                 lambda: verify_sap(a, path), lambda: verify_nssp(square)]
+        outputs = []
+        for seed in (1, 2):
+            np.random.seed(seed)  # the global generator must not reach the margins
+            outputs.append([json.dumps(call().as_dict(), sort_keys=True) for call in calls])
+        assert outputs[0] == outputs[1]
+        assert gram_decisions == [True] * 8
+
+    def test_disagreement_names_the_primal_and_every_dual_route(self, gram_decisions, monkeypatch):
+        # both primals assembled with a zero column have a null vector that
+        # neither dual route sees: the Gram route hands over to the dense one
+        monkeypatch.setattr(verifiers, "GRAM_MIN_WORK", 0)
+        commutant, kronecker = verifiers._commutant_system, verifiers._commutator_primal
+
+        def zero_column(system):
+            system = system.copy()
+            system[:, 0] = 0.0
+            return system
+
+        def broken_commutant(*args):
+            system, diagonal, to_matrix = commutant(*args)
+            return zero_column(system), diagonal, to_matrix
+
+        monkeypatch.setattr(verifiers, "_commutant_system", broken_commutant)
+        monkeypatch.setattr(verifiers, "_commutator_primal",
+                            lambda *args: zero_column(kronecker(*args)))
+        g = Graph.path(6)
+        with pytest.raises(InternalCheckError) as error:
+            verify_ssp(random_in_graph_class(np.random.default_rng(45), g), g)
+        assert str(error.value) == (
+            "ssp: Kronecker primal verdict False (nullspace 1) disagrees with Gram dual verdict "
+            "True (span 21/21); Kronecker primal verdict False (nullspace 1) disagrees with dense "
+            "dual verdict True (span 21/21)"
+        )
+        assert gram_decisions == [True]
+
+    def test_disagreement_with_a_broken_dense_dual_names_it(self, gram_decisions, monkeypatch):
+        original = verifiers._commutator_dual
+
+        def zero_row(w, graph):
+            cells, upper, dual = original(w, graph)
+            dual = dual.copy()
+            dual[0] = 0.0
+            return cells, upper, dual
+
+        monkeypatch.setattr(verifiers, "_commutator_dual", zero_row)
+        g = Graph.path(6)
+        with pytest.raises(InternalCheckError) as error:
+            verify_ssp(random_in_graph_class(np.random.default_rng(45), g), g)
+        assert str(error.value) == (
+            "ssp: Kronecker primal verdict True (nullspace 0) disagrees with dense dual verdict "
+            "False (span 20/21)"
+        )
+        assert gram_decisions == []

@@ -12,10 +12,18 @@ returns.  It prints one line per op (index, kind, whether the benchmark's
 check accepts the output, SHA-256 of the output) and a last line with the
 SHA-256 of all the op digests.  For ``verify`` each op line also carries a
 digest of the decision fields alone (``holds``, ``nullspace_dim``,
-``dual_span_dim``, ``dual_verdict``, ``q_used`` and ``q_alternatives``),
-and a ``decisions`` line their combined digest, so two checkouts make the
-same rank decisions exactly when those lines agree, whatever the margins'
-last digits or the witnesses.  The output hashed is:
+``dual_span_dim``, ``dual_verdict``, ``q_used`` and ``q_alternatives``)
+and ``repr`` of the margin ``smallest_structural_singular_value`` (``-``
+when the op raised), and a ``decisions`` line their combined digest, so two
+checkouts make the same rank decisions exactly when those lines agree,
+whatever the margins' last digits or the witnesses.  The worst relative
+margin change between the digests ``a.txt`` and ``b.txt`` of two checkouts,
+over the margins above 1e-7 (a verification that fails reads at most the
+rank cut, 1e-8 times sigma_max <= 2), is
+
+    paste -d' ' a.txt b.txt | awk '$6 != $12 && $6 > 1e-7 {d = $12 / $6 - 1; if (d < 0) d = -d; if (d > w) w = d} END {print w + 0}'
+
+The output hashed is:
 
 verify
     ``json.dumps(report.as_dict(), sort_keys=True)``;
@@ -84,9 +92,12 @@ def digest(workload: str, seed: int) -> list[str]:
             except Exception as exc:  # the op failed: its error is its output
                 status = "raised"
                 data = decisions = f"{type(exc).__name__}: {exc}".replace(workdir, TMP_TOKEN).encode()
+                margin = "-"
             else:
                 data = output_bytes(workload, result, workdir)
-                decisions = decision_bytes(result) if workload == "verify" else None
+                if workload == "verify":
+                    decisions = decision_bytes(result)
+                    margin = repr(result.smallest_structural_singular_value)
                 try:
                     op.check(result)
                 except (decks.Declined, decks.Wrong) as exc:
@@ -97,7 +108,7 @@ def digest(workload: str, seed: int) -> list[str]:
             if workload == "verify":
                 decision_sha = hashlib.sha256(decisions).hexdigest()
                 decided.update(decision_sha.encode())
-                line += f" {decision_sha}"
+                line += f" {decision_sha} {margin}"
             lines.append(line)
     lines.append(f"total {total.hexdigest()}")
     if workload == "verify":
