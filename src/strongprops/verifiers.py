@@ -149,9 +149,6 @@ GRAM_MIN_WORK = 10**7
 #: sigma_max (under 1e-6 for m up to 4,500 rows); the rank cut is rank_tol.
 GRAM_GATE = 1e-6
 
-#: Lanczos vectors kept by each of the Gram route's runs.
-GRAM_NCV = 8
-
 
 @dataclass(frozen=True, eq=False)
 class StrongPropertyReport:
@@ -234,14 +231,11 @@ def _kronecker_entries(w, rows, commutator=True):
     return [np.concatenate(part) for part in zip(*entries)]
 
 
-def _sparse(entries, shape, columns=None):
-    """CSR matrix of (row, column, value) ``entries`` (repeats summed),
-    its columns relabelled by ``columns`` = (new index, sign) per column."""
-    import scipy.sparse
+def _sparse(entries, shape):
+    """CSR matrix of (row, column, value) ``entries``, repeats summed."""
+    import scipy.sparse  # imported here, as in _gram_dual
 
     k, col, value = entries
-    if columns is not None:
-        col, value = columns[0][col], columns[1][col] * value
     return scipy.sparse.csr_matrix((value, (k, col)), shape=shape)
 
 
@@ -330,7 +324,8 @@ def _gram_dual(assemble, scale: float):
         # a seeded start, and seeded restarts where scipy's eigsh takes a
         # generator: the same input gives the same margin in every process
         start = np.random.default_rng(0).standard_normal(len(gram))
-        options = dict(k=1, v0=start, ncv=GRAM_NCV, tol=1e-10)
+        # 8 Lanczos vectors took the fewest products on the verify decks
+        options = dict(k=1, v0=start, ncv=8, tol=1e-10)
         if "rng" in inspect.signature(eigsh).parameters:
             options["rng"] = 0
         # G^-1 x by two triangular solves (xTRSV: xPOTRS on one vector is slower)
@@ -342,7 +337,7 @@ def _gram_dual(assemble, scale: float):
         except ArpackNoConvergence:
             return None
         sigma_max = math.sqrt(top)
-        if not bottom[0] * (GRAM_GATE * sigma_max) ** 2 <= 1.0:
+        if not bottom[0] * (GRAM_GATE * sigma_max) ** 2 <= 1.0:  # sigma_m^2 = 1 / bottom
             return None
         u = u[:, 0]
         margin = float(np.linalg.norm(sparse.T @ u))
@@ -399,7 +394,7 @@ def _check_and_build(
             continue
         dual_rank, sigma_max, margin = decided
         dual_dim = ambient - m + dual_rank
-        primal_name, null_dim = "no", 0
+        primal_name, null_dim = None, 0
         if m:
             # the constrained subspace is not {O}: solve
             small = primal(tol.rank_tol * sigma_max)
@@ -542,9 +537,10 @@ def _sparse_commutator_dual(w: np.ndarray, cells, upper):
     n = w.shape[0]
     pair = np.zeros((n, n), dtype=int)
     pair[upper] = np.arange(len(upper[0]))
-    sign = np.sign(np.subtract.outer(np.arange(n), np.arange(n))).T
-    return _sparse(_kronecker_entries(w, cells), (len(cells[0]), len(upper[0])),
-                   ((pair + pair.T).reshape(-1), sign.reshape(-1)))
+    pair = (pair + pair.T).reshape(-1)
+    sign = np.sign(np.arange(n) - np.arange(n)[:, None]).reshape(-1)
+    k, col, value = _kronecker_entries(w, cells)
+    return _sparse((k, pair[col], sign[col] * value), (len(cells[0]), len(upper[0])))
 
 
 def _commutator_primal(w: np.ndarray, cells, upper) -> np.ndarray:
@@ -566,7 +562,8 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     """
     a, w = _prepare_symmetric(a, g, tol)
     cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
-    dual_blocks = _split(w, (len(cells[0]), len(upper[0])))(cells, upper)
+    shape = (len(cells[0]), len(upper[0]))
+    dual_blocks = _split(w, shape)(cells, upper)
 
     def primal(cut):
         system, _, to_matrix = _commutant_system(sym_eig(w, tol), cut, g)
@@ -574,8 +571,7 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "ssp", g.n, cells, True,
-        _dual_routes((len(cells[0]), len(upper[0])), dual_blocks,
-                     lambda: _commutator_dual(w, g)[2],
+        _dual_routes(shape, dual_blocks, lambda: _commutator_dual(w, g)[2],
                      lambda: (_sparse_commutator_dual(w, cells, upper), None), tol),
         tol, _commutator_residual(a), primal,
         lambda _: (_commutator_primal(w, cells, upper), _transposed(dual_blocks), None),
@@ -628,7 +624,8 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     lam = eig.eigenvalues
     q, alt_qs = _smp_q_candidates(lam, tol)
     cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
-    split = _split(w, (len(cells[0]), len(upper[0]) + q))
+    shape = (len(cells[0]), len(upper[0]) + q)
+    split = _split(w, shape)
     dual_blocks = split(cells, upper, q)
 
     def primal(cut):
@@ -644,7 +641,7 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "smp", g.n, cells, True,
-        _dual_routes((len(cells[0]), len(upper[0]) + q), dual_blocks,
+        _dual_routes(shape, dual_blocks,
                      lambda: np.hstack([_commutator_dual(w, g)[2], _trace_rows(w, cells, q).T]),
                      lambda: (_sparse_commutator_dual(w, cells, upper), _trace_rows(w, cells, q).T),
                      tol),
@@ -662,7 +659,8 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     ranging over all square matrices."""
     a, w = _prepare_symmetric(a, g, tol)
     cells, every = _non_edges(g), np.divmod(np.arange(g.n * g.n), g.n)
-    dual_blocks = _split(w, (len(cells[0]), g.n * g.n))(cells, every)
+    shape = (len(cells[0]), g.n * g.n)
+    dual_blocks = _split(w, shape)(cells, every)
 
     def dual():
         # twice the transpose of the Kronecker primal (n^2 rows x orthonormal pairs)
@@ -671,7 +669,7 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     def sparse():
         halves = _kronecker_entries(w, cells, False), _kronecker_entries(w, cells[::-1], False)
         k, col, value = (np.concatenate(part) for part in zip(*halves))
-        return _sparse((k, col, SQRT2 * value), (len(cells[0]), g.n * g.n)), None
+        return _sparse((k, col, SQRT2 * value), shape), None
 
     def primal(cut):
         eig = sym_eig(w, tol)
@@ -681,7 +679,7 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "sap", g.n, cells, True,
-        _dual_routes((len(cells[0]), g.n * g.n), dual_blocks, dual, sparse, tol, scale=2.0),
+        _dual_routes(shape, dual_blocks, dual, sparse, tol, scale=2.0),
         tol, lambda x: fro(a @ x) / max(fro(a), 1e-300), primal,
         lambda _: ((_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2,
                    _transposed(dual_blocks), None),
@@ -732,7 +730,8 @@ def verify_nssp(
     w = a / scale if scale > 0 else a
     zero = pattern.as_array() == 0
     cells, every = np.nonzero(zero), np.divmod(np.arange(n * n), n)
-    dual_blocks = _split(w, (len(cells[0]), n * n))(cells, every)
+    shape = (len(cells[0]), n * n)
+    dual_blocks = _split(w, shape)(cells, every)
 
     def primal(cut):
         if _svd_work(n * n, len(cells[0])) < CENTRALIZER_MIN_WORK:
@@ -747,10 +746,8 @@ def verify_nssp(
 
     return _check_and_build(
         "nssp", n, cells, False,
-        _dual_routes((len(cells[0]), n * n), dual_blocks,
-                     lambda: _commutator_block(w, cells, every),
-                     lambda: (_sparse(_kronecker_entries(w, cells), (len(cells[0]), n * n)), None),
-                     tol),
+        _dual_routes(shape, dual_blocks, lambda: _commutator_block(w, cells, every),
+                     lambda: (_sparse(_kronecker_entries(w, cells), shape), None), tol),
         tol, lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300), primal,
         lambda _: (_commutator_block(w, every, cells[::-1]), _transposed(dual_blocks), None),
     )
