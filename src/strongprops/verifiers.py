@@ -311,7 +311,7 @@ def _gram_dual(assemble, scale: float):
     def route():
         # imported here: the module costs time and memory that only large
         # verifications repay
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         sparse, dense = assemble()
         gram = (sparse @ sparse.T).toarray()
@@ -334,7 +334,7 @@ def _gram_dual(assemble, scale: float):
         try:
             top = eigsh(gram, return_eigenvectors=False, **options)[0]
             bottom, u = eigsh(inverse, **options)
-        except ArpackNoConvergence:
+        except ArpackError:  # no convergence, or ARPACK refused the problem
             return None
         sigma_max = math.sqrt(top)
         if not bottom[0] * (GRAM_GATE * sigma_max) ** 2 <= 1.0:  # sigma_m^2 = 1 / bottom

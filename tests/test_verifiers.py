@@ -525,6 +525,21 @@ class TestGramRoute:
         assert outputs[0] == outputs[1]
         assert gram_decisions == [True] * 8
 
+    def test_lanczos_failure_leaves_the_decision_to_the_dense_route(self, gram_decisions,
+                                                                     monkeypatch):
+        import scipy.sparse.linalg
+
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        g = Graph.path(8)
+        a = random_in_graph_class(np.random.default_rng(46), g)
+        dense = verify_sap(a, g).as_dict()
+        monkeypatch.setattr(verifiers, "GRAM_MIN_WORK", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        assert verify_sap(a, g).as_dict() == dense
+        assert gram_decisions == [False]
+
     def test_disagreement_names_the_primal_and_every_dual_route(self, gram_decisions, monkeypatch):
         # both primals assembled with a zero column have a null vector that
         # neither dual route sees: the Gram route hands over to the dense one
