@@ -448,7 +448,7 @@ def _mixed_instances(draw):
     return sym, square.reshape(n, n), perm, draw(st.sampled_from([1e-6, 1e6]))
 
 
-@settings(max_examples=20)
+@settings(max_examples=12)
 @given(_mixed_instances())
 def test_gram_route_decisions_and_margins_invariant_under_permutation_and_scaling(instance):
     sym, square, perm, scale = instance
