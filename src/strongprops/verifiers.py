@@ -100,7 +100,6 @@ depend on the scale of A.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -299,14 +298,16 @@ def _gram_dual(assemble, scale: float):
     """The dual route that decides only "full row rank", from a Cholesky of
     the m x m Gram matrix G = D D^T.  ``assemble()`` gives D as a sparse
     matrix and its dense trailing columns T (the SMP's trace columns, or
-    None), so G is one sparse product plus T T^T.  sigma_max^2 is read by
-    Lanczos on G and sigma_m^2 by Lanczos on G^-1 through the factor, both
-    from a fixed-seed start vector.  It gives (m, sigma_max, sigma_m) in the
-    units of the Kronecker primal when the Cholesky succeeds, both runs
-    converge and sigma_m >= GRAM_GATE * sigma_max, else None.  The margin
-    is ||D^T u|| for the unit Lanczos vector u of sigma_m, which reads
-    sigma_m from D and not from G, so it keeps the dense SVD's relative
-    accuracy of about eps * sigma_max / sigma_m."""
+    None), so G is one sparse product plus T T^T.  sigma_m^2 is read by
+    Lanczos on G^-1 through the factor, then sigma_max^2 by Lanczos on G,
+    both from a fixed-seed start vector.  It gives (m, sigma_max, sigma_m)
+    in the units of the Kronecker primal when the Cholesky succeeds, both
+    runs converge and sigma_m >= GRAM_GATE * sigma_max, else None; bounds
+    from the diagonals of G and of the factor give None earlier, before the
+    first run on a failing dual and before the second on most duals the
+    gate rejects.  The margin is ||D^T u|| for the unit Lanczos vector u of
+    sigma_m, which reads sigma_m from D and not from G, so it keeps the
+    dense SVD's relative accuracy of about eps * sigma_max / sigma_m."""
 
     def route():
         # imported here: the module costs time and memory that only large
@@ -321,19 +322,24 @@ def _gram_dual(assemble, scale: float):
             upper = scipy.linalg.cholesky(gram, check_finite=False)  # G = U^T U
         except np.linalg.LinAlgError:  # G is not numerically positive definite
             return None
-        # a seeded start, and seeded restarts where scipy's eigsh takes a
-        # generator: the same input gives the same margin in every process
+        # sigma_max^2 >= max G_kk, and sigma_m^2 = lambda_min(G) <= min U_kk^2:
+        # this and the test between the Lanczos runs reject only what the
+        # gate would, the first without Lanczos (a failing dual)
+        peak = np.diagonal(gram).max()
+        if np.diagonal(upper).min() ** 2 < GRAM_GATE**2 * peak:
+            return None
+        # a seeded start: the same input gives the same margin in every process
         start = np.random.default_rng(0).standard_normal(len(gram))
         # 8 Lanczos vectors took the fewest products on the verify decks
         options = dict(k=1, v0=start, ncv=8, tol=1e-10)
-        if "rng" in inspect.signature(eigsh).parameters:
-            options["rng"] = 0
         # G^-1 x by two triangular solves (xTRSV: xPOTRS on one vector is slower)
         inverse = LinearOperator(
             gram.shape, lambda x: dtrsv(upper, dtrsv(upper, x, trans=1)), dtype=float)
         try:
+            bottom, u = eigsh(inverse, **options)  # 1 / sigma_m^2
+            if not bottom[0] * GRAM_GATE**2 * peak <= 1.0:
+                return None
             top = eigsh(gram, return_eigenvectors=False, **options)[0]
-            bottom, u = eigsh(inverse, **options)
         except ArpackError:  # no convergence, or ARPACK refused the problem
             return None
         sigma_max = math.sqrt(top)

@@ -540,6 +540,44 @@ class TestGramRoute:
         assert verify_sap(a, g).as_dict() == dense
         assert gram_decisions == [False]
 
+    def test_failing_input_is_rejected_before_lanczos(self, gram_decisions, monkeypatch):
+        # the adjacency matrix of C8 fails the SSP; its Gram matrix factors,
+        # with a smallest pivot squared near 1e-16 of its largest diagonal
+        # entry, so the route gives no decision without running Lanczos
+        import scipy.sparse.linalg
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("Lanczos ran")
+
+        monkeypatch.setattr(verifiers, "GRAM_MIN_WORK", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unexpected)
+        g = Graph.cycle(8)
+        report = verify_ssp(adjacency(g), g)
+        assert not report.holds and report.nullspace_dim == 3
+        assert gram_decisions == [False]
+
+    def test_margin_under_the_gate_is_rejected_after_one_lanczos_run(self, gram_decisions,
+                                                                     monkeypatch):
+        # C8 with one edge weight moved by 3e-6 has the SSP with a margin
+        # near 4e-7, under the gate: the sigma_m run rejects it, without the
+        # sigma_max run, and the dense route decides
+        import scipy.sparse.linalg
+
+        runs, eigsh = [], scipy.sparse.linalg.eigsh
+
+        def counting(*args, **kwargs):
+            runs.append(args[0])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(verifiers, "GRAM_MIN_WORK", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        g = Graph.cycle(8)
+        a = adjacency(g)
+        a[0, 1] = a[1, 0] = 1.0 + 3e-6
+        report = verify_ssp(a, g)
+        assert report.holds and report.smallest_structural_singular_value < 1e-6
+        assert len(runs) == 1 and gram_decisions == [False]
+
     def test_disagreement_names_the_primal_and_every_dual_route(self, gram_decisions, monkeypatch):
         # both primals assembled with a zero column have a null vector that
         # neither dual route sees: the Gram route hands over to the dense one
