@@ -77,10 +77,11 @@ Like the primal, the dual has routes, tried in order:
 Gram
     Whole duals whose rows * cols * min(rows, cols) reaches GRAM_MIN_WORK:
     a Cholesky of the m x m matrix G = D D^T, assembled sparse from W's
-    nonzeros, and Lanczos for sigma_max^2 on G and sigma_m^2 on G^-1.  G
+    nonzeros, and Lanczos for sigma_m^2 on G^-1 and sigma_max^2 on G.  G
     squares the condition number, so this route decides only "full row
     rank", and only when sigma_m >= GRAM_GATE * sigma_max, far above the
-    cut; otherwise it gives no decision.
+    cut; otherwise it gives no decision, on a failing dual mostly before
+    any Lanczos run.
 dense
     A values-only SVD of the dense dual, whole or split; it always decides.
 
