@@ -33,15 +33,17 @@ has full row rank at the base exactly when the property holds.  The
 strong property persists for small steps; every solve re-verifies it
 rather than assuming.
 
-Every realizer but :func:`realize_q` is a plan for one continuation
-driver, :func:`_homotopy`: the plan names the next target within a trust
-radius of the current matrix, the driver solves for it, re-bases the map
-on the realized matrix (:meth:`PerturbationMap.rebased`) and halves the
-radius when a solve fails, within MAX_TRUST_HALVINGS halvings and
-MAX_HOMOTOPY_HOPS hops.  The plans walk in the invariant the map
-controls: the symmetric realizers move eigenvalues along Q diag Q^T, and
-:func:`realize_similar` moves the diagonal blocks of the current real
-Schur form Q T Q^T toward the target's eigenvalues.
+Every realizer is a plan for one continuation driver, :func:`_homotopy`,
+or one call of such a realizer (:func:`realize_q` plans the whole
+refinement first, :func:`realize_rank` is an inertia target): the plan
+names the next target within a trust radius of the current matrix, the
+driver solves for it, re-bases the map on the realized matrix
+(:meth:`PerturbationMap.rebased`) and halves the radius when a solve
+fails, within MAX_TRUST_HALVINGS halvings and MAX_HOMOTOPY_HOPS hops.
+The plans walk in the invariant the map controls: the symmetric
+realizers move every eigenvalue that has to move along Q diag Q^T in the
+same hop, and :func:`realize_similar` moves the diagonal blocks of the
+current real Schur form Q T Q^T toward the target's eigenvalues.
 """
 
 from __future__ import annotations
@@ -899,9 +901,10 @@ def realize_multiplicity_list(
     verified here.  The base is rescaled to unit Frobenius norm for the
     solve (the correction polynomial uses raw monomials, so conditioning
     matters) and scaled back afterwards; scaling is an exact
-    similarity-respecting transformation.  The split is one hop whose
-    width halves until it is solved.  The achieved list is post-checked
-    against the target rather than assumed.
+    similarity-respecting transformation.  ``trust_radius`` is in A's
+    units, as for :func:`realize_spectrum`, and is rescaled with the base.
+    The split is one hop whose width halves until it is solved.  The
+    achieved list is post-checked against the target rather than assumed.
     """
     a = symmetrize(a)
     if a.shape[0] != g.n:
@@ -927,7 +930,7 @@ def realize_multiplicity_list(
             tuple(target), tuple(m_base), 0, 0.0, (0.0,), base_report,
         )
 
-    trust = default_trust_radius(w) if trust_radius is None else float(trust_radius)
+    trust = default_trust_radius(w) if trust_radius is None else float(trust_radius) / scale
 
     def plan(_cur, delta):
         return _with_spectrum(dec.eigenvectors, _split_values(clusters, blocks, delta)), True
@@ -963,14 +966,16 @@ def realize_inertia(
     tol: Tolerances = DEFAULT_TOL,
     trust_radius: float | None = None,
 ) -> RealizationResult:
-    """Matrix in the graph class with the given partial inertia, reached
-    from A by one-at-a-time northeast steps (zero eigenvalue -> +delta or
-    -delta through the SAP map), re-verifying the SAP at every step.  The
-    shift delta is half the trust radius of the current matrix, halved
-    each time a step fails.
+    """Matrix in the graph class with the given partial inertia, near A.
 
-    Positive steps are taken before negative ones; the order does not
-    affect reachability since the property is re-verified each time.
+    Requires the SAP at A, which reaches every nearby inertia at once (the
+    bifurcation lemma), so one hop of :func:`_homotopy` moves every zero
+    eigenvalue of Q diag Q^T that has to move: the lowest to -delta, the
+    next to +delta, with delta = 0.5 * trust / sqrt(k) for k zeros moved,
+    so the hop is half the trust radius long.  The trust radius is
+    ``trust_radius`` or :func:`default_trust_radius` of A and halves each
+    time the solve fails; the walk ends at a realized matrix with the
+    target inertia.
     """
     a = symmetrize(a)
     if a.shape[0] != g.n:
@@ -981,33 +986,29 @@ def realize_inertia(
             f"inertia ({p_target}, {q_target}) is not feasible for n = {g.n}"
         )
     base_report = _checked_base(None, "sap", lambda: verify_sap(a, g, tol))
-    p0, q0 = pin(a, tol)
-    if p_target < p0 or q_target < q0:
-        raise UnreachableInertia(
-            f"target ({p_target}, {q_target}) would decrease a nonzero count of "
-            f"the base partial inertia ({p0}, {q0})"
-        )
 
-    def plan(cur, scale):
-        p_cur, q_cur = pin(cur, tol)
+    def plan(cur, trust):
+        dec = sym_eig(cur, tol)
+        lam = dec.eigenvalues
+        zero_thr = eig_zero_threshold(cur, tol)
+        p_cur, q_cur = int(np.sum(lam > zero_thr)), int(np.sum(lam < -zero_thr))
         if (p_cur, q_cur) == (p_target, q_target):
             return None
-        dec = sym_eig(cur, tol)
-        zero_thr = eig_zero_threshold(cur, tol)
-        zero_idx = [i for i, lam in enumerate(dec.eigenvalues) if abs(lam) <= zero_thr]
-        if not zero_idx:
+        zero_idx = np.flatnonzero(np.abs(lam) <= zero_thr)
+        up, down = p_target - p_cur, q_target - q_cur
+        if min(up, down) < 0 or up + down > len(zero_idx):
             raise UnreachableInertia(
-                "no zero eigenvalue left to perturb; the partial inertia "
-                f"({p_cur}, {q_cur}) cannot reach ({p_target}, {q_target})"
+                f"the partial inertia ({p_cur}, {q_cur}) cannot reach "
+                f"({p_target}, {q_target}): only zero eigenvalues move"
             )
-        trust = default_trust_radius(cur) if trust_radius is None else float(trust_radius)
-        new_lam = dec.eigenvalues.copy()
-        new_lam[zero_idx[0]] = (1.0 if p_cur < p_target else -1.0) * (0.5 * trust * scale)
+        k = up + down
+        new_lam = lam.copy()
+        new_lam[zero_idx[:k]] = np.repeat([-1.0, 1.0], [down, up]) * (0.5 * trust / math.sqrt(k))
         return _with_spectrum(dec.eigenvectors, new_lam), False
 
-    # ``scale`` is the driver's trust: a power of two, halved per failure
+    trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
     cur, report, iterations, trace, residual = _homotopy(
-        sap_map(a, g), base_report, 1.0, plan, tol, "inertia walk", hops=4 * g.n
+        sap_map(a, g), base_report, trust, plan, tol, "inertia walk", hops=4 * g.n
     )
     # the plan ends the walk only at the target inertia
     return _result(
@@ -1023,8 +1024,9 @@ def realize_rank(
     tol: Tolerances = DEFAULT_TOL,
     trust_radius: float | None = None,
 ) -> RealizationResult:
-    """Matrix in the graph class with the given rank (northeast steps on
-    the zero eigenvalues; all added eigenvalues are positive)."""
+    """Matrix in the graph class with the given rank: the
+    :func:`realize_inertia` target that moves zero eigenvalues to positive
+    values only."""
     a = symmetrize(a)
     target_rank = int(target_rank)
     p0, q0 = pin(a, tol)
@@ -1046,8 +1048,18 @@ def realize_q(
     trust_radius: float | None = None,
 ) -> RealizationResult:
     """Matrix in the graph class with exactly ``target_q`` distinct
-    eigenvalues, obtained by repeatedly splitting one multiple eigenvalue
-    into two; the SSP (preferred) or SMP is re-verified at every step."""
+    eigenvalues, near A.
+
+    The SSP (preferred) or the SMP at A reaches every nearby refinement at
+    once (the bifurcation lemma), so the whole refinement is planned first
+    and realized by one call: the largest cluster (first on ties) of the
+    multiplicity list splits into (1, m - 1), ``target_q`` - q(A) times.
+    With the SSP, :func:`realize_spectrum` moves the split clusters over a
+    window of width min(gap / 4, trust radius), gap the smallest distance
+    between the eigenvalues of A; with the SMP alone,
+    :func:`realize_multiplicity_list` realizes the refined list.  The
+    achieved q is checked once.
+    """
     a = symmetrize(a)
     if a.shape[0] != g.n:
         raise InputError(f"matrix size {a.shape[0]} does not match graph on {g.n} vertices")
@@ -1064,55 +1076,33 @@ def realize_q(
         raise TargetError(
             f"target q {target_q} must lie between q(A) = {q0} and n = {g.n}"
         )
+    if target_q == q0:
+        return _result(g.edges, a, "q", target_q, q0, 0, 0.0, (0.0,), report)
 
-    cur = a
-    total_iters = 0
-    trace: list[float] = []
-    final_residual = 0.0
-    # every split raises q by at least one, so n splits reach any target
-    for _split in range(g.n):
-        q_cur = len(clusters)
-        if q_cur >= target_q:
-            return _result(
-                g.edges,
-                cur,
-                "q",
-                target_q,
-                q_cur,
-                total_iters,
-                final_residual,
-                trace if trace else (0.0,),
-                report,
-            )
-        # split the largest cluster (first on ties) into (1, m - 1)
-        idx = max(range(q_cur), key=lambda i: clusters[i][1])
-        blocks = [[mult] for _, mult in clusters]
-        blocks[idx] = [1, clusters[idx][1] - 1]
-        if mode == "smp":
-            new_list = [mult for block in blocks for mult in block]
-            res = realize_multiplicity_list(
-                cur, g, new_list, tol, trust_radius, base_report=report
-            )
-        else:
-            trust = default_trust_radius(cur) if trust_radius is None else float(trust_radius)
-            delta = min(0.25 * _min_cluster_gap(clusters), trust)
-            res = realize_spectrum(
-                cur, g, _split_values(clusters, blocks, delta), tol, trust_radius,
-                base_report=report,
-            )
-        cur = res.matrix
-        report = res.property_report
-        total_iters += res.iterations
-        final_residual = res.final_residual
-        trace.extend(res.residual_trace)
-        clusters = cluster_eigenvalues(sym_eig(cur, tol).eigenvalues, tol)
-        if len(clusters) <= q_cur:
-            raise TargetError(
-                f"splitting an eigenvalue left q at {q_cur}: the split width is "
-                "below the eigenvalue clustering threshold (raise the trust "
-                "radius or lower cluster_tol)"
-            )
-    raise NoConvergence("q splitting did not terminate")
+    # q < n leaves a cluster of size >= 2 to split
+    fine = [mult for _, mult in clusters]
+    for _split in range(target_q - q0):
+        k = fine.index(max(fine))
+        fine[k : k + 1] = [1, fine[k] - 1]
+    if mode == "smp":
+        res = realize_multiplicity_list(a, g, fine, tol, trust_radius, base_report=report)
+    else:
+        coarse = OrderedMultiplicityList(entries=tuple(m for _, m in clusters))
+        blocks = refinement_blocks(OrderedMultiplicityList(entries=tuple(fine)), coarse)
+        trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
+        delta = min(0.25 * _min_cluster_gap(clusters), trust)
+        res = realize_spectrum(
+            a, g, _split_values(clusters, blocks, delta), tol, trust_radius,
+            base_report=report,
+        )
+    q = len(cluster_eigenvalues(sym_eig(res.matrix, tol).eigenvalues, tol))
+    if q != target_q:
+        raise TargetError(
+            f"splitting eigenvalues left q at {q}, not {target_q}: the split "
+            "width is below the eigenvalue clustering threshold (raise the "
+            "trust radius or lower cluster_tol)"
+        )
+    return replace(res, target_kind="q", target=target_q, achieved=q)
 
 
 def _char_poly_residual(a: np.ndarray, reference_coeffs: np.ndarray) -> float:

@@ -23,6 +23,7 @@ run with flags or the STRONGPROPS_TOLERANCES environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -196,25 +197,16 @@ def _load_targets(path: str) -> list[ConjInvariantSpectrum]:
 # Output helpers
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    """numpy values for ``json.dumps``; np.float64 is a float and needs none."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
     else:
         for line in text_lines:
             print(line)
@@ -570,7 +562,9 @@ def _configure_realize(sub: argparse.ArgumentParser) -> None:
     sub.set_defaults(func=_cmd_realize)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="strongprops",
         description="Verify strong spectral properties of matrices and "

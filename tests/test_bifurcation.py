@@ -362,6 +362,14 @@ class TestRealizeMultiplicityList:
         second = realize_multiplicity_list(first.matrix, c4, [1, 1, 1, 1])
         assert tuple(second.achieved) == (1, 1, 1, 1)
 
+    @pytest.mark.parametrize("s", [0.5, 100.0])
+    def test_trust_radius_is_in_the_units_of_a(self, twisted_c4, c4, s):
+        # the base is rescaled to unit norm for the solve, and the trust
+        # radius with it: (s A, s r) realizes s times what (A, r) does
+        one = realize_multiplicity_list(twisted_c4, c4, [1, 1, 2], trust_radius=0.05)
+        res = realize_multiplicity_list(s * twisted_c4, c4, [1, 1, 2], trust_radius=0.05 * s)
+        assert np.allclose(res.matrix / s, one.matrix, rtol=0.0, atol=1e-12)
+
     def test_wrong_total(self, twisted_c4, c4):
         with pytest.raises(InputError):
             realize_multiplicity_list(twisted_c4, c4, [2, 2, 1])
@@ -448,6 +456,17 @@ class TestRealizeQ:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_all_splits_of_a_signed_c12_at_once(self):
+        # five splits in one move: each split's width comes from A's gaps,
+        # not from the gaps that an earlier split made
+        g = Graph.cycle(12)
+        d = np.array([(-1.0) ** (i // 2) for i in range(12)])
+        a = d[:, None] * adjacency(g) * d[None, :]
+        res = realize_q(a, g, 12)
+        lam = np.linalg.eigvalsh(res.matrix)
+        assert res.achieved == 12 and len(ordered_multiplicity_list(lam)) == 12
+        assert matrix_in_graph_class(res.matrix, g) and res.property_report.holds
 
     def test_out_of_range(self, twisted_c4, c4):
         with pytest.raises(TargetError):
@@ -727,30 +746,39 @@ class TestSurjectivityFromReports:
         assert res.iterations > 0 and res.property_report.holds
 
 
-def test_q_verifies_each_split_base_once(monkeypatch, twisted_c4, c4):
+def _counted(monkeypatch, name):
+    """Record the matrix of every call of ``bifurcation.name``."""
     calls = []
-    verify = bifurcation.verify_ssp
+    verify = getattr(bifurcation, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return verify(*args, **kwargs)
 
-    monkeypatch.setattr(bifurcation, "verify_ssp", counted)
+    monkeypatch.setattr(bifurcation, name, counted)
+    return calls
+
+
+def test_q_verifies_the_base_and_the_result_once(monkeypatch, twisted_c4, c4):
+    calls = _counted(monkeypatch, "verify_ssp")
     res = realize_q(twisted_c4, c4, 4)
-    # the base, then each of the two splits' realized matrix
-    assert len(calls) == 3
+    # the base, then the matrix that realizes both splits at once
+    assert len(calls) == 2
+    assert np.array_equal(calls[-1], res.matrix)
+
+
+def test_inertia_moves_every_zero_in_one_hop(monkeypatch):
+    calls = _counted(monkeypatch, "verify_sap")
+    g = Graph.complete(3)
+    res = realize_inertia(np.ones((3, 3)), g, (2, 1))  # eigenvalues 0, 0, 3
+    assert pin(res.matrix) == (2, 1) and res.property_report.holds
+    # the base, then the one hop that moves both zero eigenvalues
+    assert len(calls) == 2
     assert np.array_equal(calls[-1], res.matrix)
 
 
 def test_multiplicity_list_verifies_the_smp_once(monkeypatch, twisted_c4, c4):
-    calls = []
-    verify = bifurcation.verify_smp
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return verify(*args, **kwargs)
-
-    monkeypatch.setattr(bifurcation, "verify_smp", counted)
+    calls = _counted(monkeypatch, "verify_smp")
     res = realize_multiplicity_list(twisted_c4, c4, [1, 1, 2])
     # the base, then the realized matrix at full scale
     assert len(calls) == 2

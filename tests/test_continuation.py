@@ -16,6 +16,8 @@ from strongprops.bifurcation import (
     MAX_TRUST_HALVINGS,
     realize_inertia,
     realize_multiplicity_list,
+    realize_q,
+    realize_rank,
     realize_similar,
     realize_spectrum,
     realize_superpattern,
@@ -46,6 +48,8 @@ def _realizer_calls(twisted_c4, c4):
         "spectrum": lambda: realize_spectrum(twisted_c4, c4, [-3.0, -1.0, 1.0, 3.0]),
         "multiplicity_list": lambda: realize_multiplicity_list(twisted_c4, c4, [1, 1, 2]),
         "inertia": lambda: realize_inertia(np.ones((2, 2)), Graph.complete(2), (1, 1)),
+        "rank": lambda: realize_rank(np.ones((2, 2)), Graph.complete(2), 2),
+        "q": lambda: realize_q(twisted_c4, c4, 4),
         "similar": lambda: realize_similar(
             nssp_base, SignPattern.from_matrix(nssp_base), 1.5 * nssp_base
         ),
@@ -58,7 +62,8 @@ def _realizer_calls(twisted_c4, c4):
 
 
 @pytest.mark.parametrize(
-    "kind", ["spectrum", "multiplicity_list", "inertia", "similar", "superpattern"]
+    "kind",
+    ["spectrum", "multiplicity_list", "inertia", "rank", "q", "similar", "superpattern"],
 )
 def test_each_realizer_gives_up_after_the_halvings(
     monkeypatch, kind, twisted_c4, c4
