@@ -128,6 +128,15 @@ def default_trust_radius(a) -> float:
     return 0.1 * (1.0 + fro(np.asarray(a, dtype=float)))
 
 
+def _trust_radius(a, trust_radius) -> float:
+    """:func:`default_trust_radius` of A when ``trust_radius`` is None, else
+    ``trust_radius``, which must be a finite positive number."""
+    radius = default_trust_radius(a) if trust_radius is None else float(trust_radius)
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise InputError("trust radius must be finite and positive")
+    return radius
+
+
 @dataclass(eq=False)
 class PerturbationMap:
     """One of the five perturbation maps: the kind, base and pattern that
@@ -418,7 +427,9 @@ class LocalChart:
     verifier's eliminated dual block at N (SSP: [K', N] over the skew
     pairs E_ij - E_ji, i < j; SAP: N L' + L'^T N; nSSP: the commutator
     over all n^2 cells), plus one column U P_j U^T per target cluster for
-    the SMP.
+    the SMP.  In value it is :func:`verifiers._kronecker_entries` at -N or N,
+    but it is broadcast: its zeros' signs (-0.0 where a negative entry of N
+    meets a zero) reach the realized matrices through Householder pivots.
     """
 
     def __init__(self, f: PerturbationMap, m, tol: Tolerances = DEFAULT_TOL):
@@ -841,6 +852,7 @@ def realize_spectrum(
         raise InputError(f"target spectrum must have {g.n} values")
     if not np.all(np.isfinite(target)):
         raise InputError("target spectrum contains non-finite values")
+    trust = _trust_radius(a, trust_radius)
     base_report = _checked_base(base_report, "ssp", lambda: verify_ssp(a, g, tol))
 
     def plan(cur, trust):
@@ -851,7 +863,6 @@ def realize_spectrum(
         waypoint = target if last else dec.eigenvalues + (trust / dist) * delta
         return _with_spectrum(dec.eigenvectors, waypoint), last
 
-    trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
     cur, report, iterations, trace, residual = _homotopy(
         ssp_map(a, g), base_report, trust, plan, tol, "spectrum homotopy"
     )
@@ -912,10 +923,11 @@ def realize_multiplicity_list(
     target = OrderedMultiplicityList(entries=tuple(int(m) for m in target))
     if target.total != g.n:
         raise InputError(f"multiplicity list must sum to {g.n}")
-    base_report = _checked_base(base_report, "smp", lambda: verify_smp(a, g, tol))
-
     scale = max(1.0, fro(a))
     w = a / scale
+    trust = _trust_radius(w, None if trust_radius is None else float(trust_radius) / scale)
+    base_report = _checked_base(base_report, "smp", lambda: verify_smp(a, g, tol))
+
     dec = sym_eig(w, tol)
     clusters = cluster_eigenvalues(dec.eigenvalues, tol)
     m_base = OrderedMultiplicityList(entries=tuple(m for _, m in clusters))
@@ -929,8 +941,6 @@ def realize_multiplicity_list(
             g.edges, a, "multiplicity_list",
             tuple(target), tuple(m_base), 0, 0.0, (0.0,), base_report,
         )
-
-    trust = default_trust_radius(w) if trust_radius is None else float(trust_radius) / scale
 
     def plan(_cur, delta):
         return _with_spectrum(dec.eigenvectors, _split_values(clusters, blocks, delta)), True
@@ -985,6 +995,7 @@ def realize_inertia(
         raise UnreachableInertia(
             f"inertia ({p_target}, {q_target}) is not feasible for n = {g.n}"
         )
+    trust = _trust_radius(a, trust_radius)
     base_report = _checked_base(None, "sap", lambda: verify_sap(a, g, tol))
 
     def plan(cur, trust):
@@ -1006,7 +1017,6 @@ def realize_inertia(
         new_lam[zero_idx[:k]] = np.repeat([-1.0, 1.0], [down, up]) * (0.5 * trust / math.sqrt(k))
         return _with_spectrum(dec.eigenvectors, new_lam), False
 
-    trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
     cur, report, iterations, trace, residual = _homotopy(
         sap_map(a, g), base_report, trust, plan, tol, "inertia walk", hops=4 * g.n
     )
@@ -1064,6 +1074,7 @@ def realize_q(
     if a.shape[0] != g.n:
         raise InputError(f"matrix size {a.shape[0]} does not match graph on {g.n} vertices")
     target_q = int(target_q)
+    trust = _trust_radius(a, trust_radius)
     report = verify_ssp(a, g, tol)
     mode = "ssp" if report.holds else "smp"
     if mode == "smp":
@@ -1089,7 +1100,6 @@ def realize_q(
     else:
         coarse = OrderedMultiplicityList(entries=tuple(m for _, m in clusters))
         blocks = refinement_blocks(OrderedMultiplicityList(entries=tuple(fine)), coarse)
-        trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
         delta = min(0.25 * _min_cluster_gap(clusters), trust)
         res = realize_spectrum(
             a, g, _split_values(clusters, blocks, delta), tol, trust_radius,
@@ -1340,6 +1350,7 @@ def realize_similar(
     m_target = as_matrix(m_target, "target matrix")
     if m_target.shape != a.shape:
         raise InputError("target shape does not match the base matrix")
+    trust = _trust_radius(a, trust_radius)
     base_report = _checked_base(base_report, "nssp", lambda: verify_nssp(a, tol, pattern=p))
     target_coeffs = char_poly(m_target)
     target = walk = None  # computed when a hop first falls short of m_target
@@ -1367,7 +1378,6 @@ def realize_similar(
         old, walk = walk, _spectral_walk(real_schur(new), *target)
         return not walk.distance > old.distance - 0.1 * trust
 
-    trust = default_trust_radius(a) if trust_radius is None else float(trust_radius)
     realized, report, iterations, trace, residual = _homotopy(
         similarity_map(a, p), base_report, trust, plan, tol, "similarity homotopy",
         progress=progress,
@@ -1390,12 +1400,15 @@ def realize_superpattern(
     Targets M = A + step * E where E carries +-1 at the cells nonzero in
     the superpattern but zero in the base pattern; solving the
     superpattern map leaves exactly those entries in place while the base
-    pattern absorbs the correction B'.  The step halves until the solve
-    succeeds (one hop of :func:`_homotopy`).
+    pattern absorbs the correction B'.  The step, the hop's trust radius
+    (finite and positive when given), halves until the solve succeeds (one
+    hop of :func:`_homotopy`).
     """
     a = as_matrix(a)
     if not is_superpattern(p_super, p):
         raise NotASuperpattern("second pattern is not a superpattern of the first")
+    if step is not None:
+        step = _trust_radius(a, step)
     base_report = _checked_base(None, "nssp", lambda: verify_nssp(a, tol, pattern=p))
     new_cells = [
         (i, j)
@@ -1410,13 +1423,7 @@ def realize_superpattern(
     e = np.zeros_like(a)
     for i, j in new_cells:
         e[i, j] = float(p_super.sign_at(i, j))
-    s = (
-        0.5 * default_trust_radius(a) / math.sqrt(len(new_cells))
-        if step is None
-        else float(step)
-    )
-    if s <= 0.0:
-        raise InputError("step size must be positive")
+    s = 0.5 * default_trust_radius(a) / math.sqrt(len(new_cells)) if step is None else step
     realized, report, iterations, trace, residual = _homotopy(
         superpattern_map(a, p, p_super), base_report, s,
         lambda _cur, size: (a + size * e, True), tol, "superpattern step",

@@ -45,7 +45,7 @@ most cut, and a near-kernel or near-derogatory W has couplings that the
 Kronecker primal counts as null and the small space leaves out.  Then the
 Kronecker primal, which has the dual's singular values, decides.
 
-The dual is an index slice of a Kronecker matrix.  In row-major vec,
+The dual is read from a Kronecker matrix.  In row-major vec,
 vec(WX - XW) = C vec(X) with C = W (x) I - I (x) W^T and vec(WX) = D vec(X)
 with D = W (x) I, so the image of the matrix unit E_ij is column i*n + j.
 The constrained subspaces are spanned by matrix units on the zero cells
@@ -86,9 +86,10 @@ dense
     A values-only SVD of the dense dual, whole or split; it always decides.
 
 When the primal disagrees with the Gram route, the dense dual decides.
-The routes are assembled and factored separately, so an assembly error in
-the dual or the Kronecker primal surfaces as a primal/dual mismatch or, in
-a split system, as a nonzero outside its blocks, raising
+Both routes factor the entries of one assembler, :func:`_kronecker_entries`,
+and the Kronecker primals are broadcast apart from it, so an assembly error
+in the dual or the Kronecker primal surfaces as a primal/dual mismatch or,
+in a split system, as a nonzero outside its blocks, raising
 :class:`InternalCheckError`, whose message names the primal route that
 decided and each dual route it disagreed with; one in a small-space
 primal that moves its nullity hands the decision to the Kronecker primal,
@@ -207,7 +208,8 @@ def _left_block(w, rows, cols) -> np.ndarray:
     """Rows (a, b), columns (i, j) of D = W (x) I: D[ab, ij] = W[a, i] [b = j].
     W[a, i] is gathered by whole rows of W[:, i] (copies, not an
     elementwise index), and the zeros keep the signs of W[a, i] * 0, which
-    LAPACK's Householder steps read."""
+    the Householder steps of the SVD that gives a witness read.  It serves
+    the Kronecker primals, apart from the dual (:func:`_kronecker_entries`)."""
     return w[:, cols[0]][rows[0]] * (rows[1][:, None] == cols[1])
 
 
@@ -218,17 +220,41 @@ def _commutator_block(w, rows, cols) -> np.ndarray:
     return _left_block(w, rows, cols) - (rows[0][:, None] == cols[0]) * w[cols[1]].T[rows[1]]
 
 
-def _kronecker_entries(w, rows, commutator=True):
-    """(row, column, value) of the nonzeros of rows (a, b) of C (of D when
-    not ``commutator``) over all n^2 columns (i, j), read from the nonzeros
-    of W: W[a, i] at (i, b), and -W[j, b] at (a, j) for C."""
+def _kronecker_entries(w, rows, prop: str):
+    """(row, column, value) entries of the eliminated dual of ``prop`` at W on
+    the cells ``rows``, read from the nonzeros of W; repeats add up.  Row
+    (a, b) holds W[a, i] at column (i, b), from D = W (x) I, and then
+    -W[j, b] at (a, j), from C = W (x) I - I (x) W^T, or for the SAP
+    W[b, i] at (i, a), from D's symmetric row (b, a): the dual over sqrt 2,
+    which is sqrt 2 times the transpose of the Kronecker primal.
+    The SSP and SMP fold column (i, j) onto the skew pair E_ij - E_ji, i < j
+    in row-major order, with sign +1 above the diagonal and -1 below it,
+    and drop the columns (i, i) of no pair, which hold W[a, b]: nonzero on a
+    chart's residual cells and on a non-edge entry the class check accepts."""
     n = w.shape[0]
     k, i = np.nonzero(w[rows[0]])
     entries = [(k, i * n + rows[1][k], w[rows[0][k], i])]
-    if commutator:
+    if prop == "sap":
+        k, i = np.nonzero(w[rows[1]])
+        entries.append((k, i * n + rows[0][k], w[rows[1][k], i]))
+    else:
         k, j = np.nonzero(w[:, rows[1]].T)
         entries.append((k, rows[0][k] * n + j, -w[j, rows[1][k]]))
-    return [np.concatenate(part) for part in zip(*entries)]
+    k, col, value = (np.concatenate(part) for part in zip(*entries))
+    if prop not in ("ssp", "smp"):
+        return k, col, value
+    i, j = np.divmod(col, n)
+    lo, hi, paired = np.minimum(i, j), np.maximum(i, j), i != j
+    pair = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+    return k[paired], pair[paired], np.where(i < j, value, -value)[paired]
+
+
+def _dense(entries, shape) -> np.ndarray:
+    """Dense matrix of (row, column, value) ``entries``, repeats summed by a
+    scatter-add, so its zeros are +0.0 (bincount counts no entries in ints)."""
+    k, col, value = entries
+    flat = np.bincount(k * shape[1] + col, value, shape[0] * shape[1])
+    return flat.astype(float, copy=False).reshape(shape)
 
 
 def _sparse(entries, shape):
@@ -355,16 +381,25 @@ def _gram_dual(assemble, scale: float):
     return route
 
 
-def _dual_routes(shape, blocks, dense, sparse, tol: Tolerances, scale: float = 1.0):
-    """The ordered dual routes of one verification, as (name, route) pairs:
-    the Gram route (:func:`_gram_dual`, ``sparse``) for whole duals of two
+def _dual_routes(entries, shape, blocks, tol: Tolerances, scale: float = 1.0, trailing=None):
+    """The ordered dual routes of one verification, as (name, route) pairs,
+    over the ``entries`` (:func:`_kronecker_entries`) of a dual of ``shape``
+    and its dense ``trailing`` columns (the SMP's trace columns), if any: the
+    Gram route (:func:`_gram_dual`, on their CSR form) for whole duals of two
     rows or more (Lanczos needs two) whose rows * cols * min(rows, cols)
-    reaches GRAM_MIN_WORK, then the dense SVD (:func:`_dense_dual`,
-    ``dense``), which always decides.  The dual's singular values are the
-    Kronecker primal's times ``scale``."""
+    reaches GRAM_MIN_WORK, then the dense SVD (:func:`_dense_dual`, on
+    :func:`_dense`), which always decides.  The dual's singular values are
+    the Kronecker primal's times ``scale``."""
+
+    def dense():
+        dual = _dense(entries, shape)
+        return dual if trailing is None else np.hstack([dual, trailing])
+
     routes = (("dense", _dense_dual(dense, blocks, scale, tol)),)
-    if blocks is None and shape[0] > 1 and _svd_work(*shape) >= GRAM_MIN_WORK:
-        routes = (("Gram", _gram_dual(sparse, scale)),) + routes
+    cols = shape[1] if trailing is None else shape[1] + trailing.shape[1]
+    if blocks is None and shape[0] > 1 and _svd_work(shape[0], cols) >= GRAM_MIN_WORK:
+        gram = _gram_dual(lambda: (_sparse(entries, shape), trailing), scale)
+        routes = (("Gram", gram),) + routes
     return routes
 
 
@@ -529,27 +564,6 @@ def _commutant_system(eig, cut: float, g: Graph):
     return _congruence_system(eig.eigenvectors, cluster[:, None] == cluster, g)
 
 
-def _commutator_dual(w: np.ndarray, g: Graph):
-    """Non-edge cells, upper cells and the eliminated SSP dual (non-edge
-    rows x skew pairs E_ij - E_ji)."""
-    cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
-    dual = _commutator_block(w, cells, upper) - _commutator_block(w, cells, upper[::-1])
-    return cells, upper, dual
-
-
-def _sparse_commutator_dual(w: np.ndarray, cells, upper):
-    """The eliminated SSP dual of :func:`_commutator_dual` as a sparse
-    matrix: C's column (i, j) goes to the skew pair E_ij - E_ji with sign +1
-    above the diagonal and -1 below it."""
-    n = w.shape[0]
-    pair = np.zeros((n, n), dtype=int)
-    pair[upper] = np.arange(len(upper[0]))
-    pair = (pair + pair.T).reshape(-1)
-    sign = np.sign(np.arange(n) - np.arange(n)[:, None]).reshape(-1)
-    k, col, value = _kronecker_entries(w, cells)
-    return _sparse((k, pair[col], sign[col] * value), (len(cells[0]), len(upper[0])))
-
-
 def _commutator_primal(w: np.ndarray, cells, upper) -> np.ndarray:
     """The halved Kronecker SSP primal (upper rows x non-edge pairs), which
     the dual transposes."""
@@ -578,8 +592,7 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "ssp", g.n, cells, True,
-        _dual_routes(shape, dual_blocks, lambda: _commutator_dual(w, g)[2],
-                     lambda: (_sparse_commutator_dual(w, cells, upper), None), tol),
+        _dual_routes(_kronecker_entries(w, cells, "ssp"), shape, dual_blocks, tol),
         tol, _commutator_residual(a), primal,
         lambda _: (_commutator_primal(w, cells, upper), _transposed(dual_blocks), None),
     )
@@ -631,8 +644,8 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     lam = eig.eigenvalues
     q, alt_qs = _smp_q_candidates(lam, tol)
     cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
-    shape = (len(cells[0]), len(upper[0]) + q)
-    split = _split(w, shape)
+    shape = (len(cells[0]), len(upper[0]))
+    split = _split(w, (shape[0], shape[1] + q))
     dual_blocks = split(cells, upper, q)
 
     def primal(cut):
@@ -648,10 +661,8 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "smp", g.n, cells, True,
-        _dual_routes(shape, dual_blocks,
-                     lambda: np.hstack([_commutator_dual(w, g)[2], _trace_rows(w, cells, q).T]),
-                     lambda: (_sparse_commutator_dual(w, cells, upper), _trace_rows(w, cells, q).T),
-                     tol),
+        _dual_routes(_kronecker_entries(w, cells, "smp"), shape, dual_blocks, tol,
+                     trailing=_trace_rows(w, cells, q).T),
         tol, _commutator_residual(a), primal,
         lambda q_val: (
             np.vstack([_commutator_primal(w, cells, upper), _trace_rows(w, cells, q_val)]),
@@ -669,15 +680,6 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     shape = (len(cells[0]), g.n * g.n)
     dual_blocks = _split(w, shape)(cells, every)
 
-    def dual():
-        # twice the transpose of the Kronecker primal (n^2 rows x orthonormal pairs)
-        return SQRT2 * (_left_block(w, cells, every) + _left_block(w, cells[::-1], every))
-
-    def sparse():
-        halves = _kronecker_entries(w, cells, False), _kronecker_entries(w, cells[::-1], False)
-        k, col, value = (np.concatenate(part) for part in zip(*halves))
-        return _sparse((k, col, SQRT2 * value), shape), None
-
     def primal(cut):
         eig = sym_eig(w, tol)
         kernel = np.abs(eig.eigenvalues) <= cut
@@ -686,7 +688,10 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "sap", g.n, cells, True,
-        _dual_routes(shape, dual_blocks, dual, sparse, tol, scale=2.0),
+        # the entries are the dual over sqrt 2; a Python float scale keeps
+        # the margin a Python float, as the other properties' are
+        _dual_routes(_kronecker_entries(w, cells, "sap"), shape, dual_blocks, tol,
+                     scale=math.sqrt(2.0)),
         tol, lambda x: fro(a @ x) / max(fro(a), 1e-300), primal,
         lambda _: ((_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2,
                    _transposed(dual_blocks), None),
@@ -753,8 +758,7 @@ def verify_nssp(
 
     return _check_and_build(
         "nssp", n, cells, False,
-        _dual_routes(shape, dual_blocks, lambda: _commutator_block(w, cells, every),
-                     lambda: (_sparse(_kronecker_entries(w, cells), shape), None), tol),
+        _dual_routes(_kronecker_entries(w, cells, "nssp"), shape, dual_blocks, tol),
         tol, lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300), primal,
         lambda _: (_commutator_block(w, every, cells[::-1]), _transposed(dual_blocks), None),
     )

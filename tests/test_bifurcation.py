@@ -681,6 +681,40 @@ class TestRealizeSuperpattern:
             realize_superpattern(a, p, bad)
 
 
+def _with_trust_radius(name, radius):
+    """Call the realizer ``name`` on a small instance that it can realize,
+    with trust radius ``radius`` (for the superpattern, its step, which is
+    the hop's trust radius)."""
+    c4, k2 = Graph.cycle(4), Graph.complete(2)
+    twisted = adjacency(c4)
+    twisted[0, 3] = twisted[3, 0] = -1.0
+    ones = np.ones((2, 2))
+    b = np.array([[1.0, 1.0], [1.0, 0.0]])
+    pb = SignPattern.from_matrix(b)
+    calls = {
+        "spectrum": lambda: realize_spectrum(twisted, c4, [-2.0, -0.1, 0.1, 2.0],
+                                             trust_radius=radius),
+        "multiplicity_list": lambda: realize_multiplicity_list(twisted, c4, [1, 1, 2],
+                                                               trust_radius=radius),
+        "inertia": lambda: realize_inertia(ones, k2, (1, 1), trust_radius=radius),
+        "rank": lambda: realize_rank(ones, k2, 2, trust_radius=radius),
+        "q": lambda: realize_q(twisted, c4, 3, trust_radius=radius),
+        "similar": lambda: realize_similar(b, pb, np.array([[1.5, 1.0], [0.5, 0.0]]),
+                                           trust_radius=radius),
+        "superpattern": lambda: realize_superpattern(
+            b, pb, SignPattern.from_rows([[1, 1], [1, -1]]), step=radius),
+    }
+    return calls[name]()
+
+
+@pytest.mark.parametrize("radius", [-0.1, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name", ["spectrum", "multiplicity_list", "inertia", "rank", "q", "similar", "superpattern"])
+def test_trust_radius_must_be_finite_and_positive(name, radius):
+    with pytest.raises(InputError, match="trust radius"):
+        _with_trust_radius(name, radius)
+
+
 class TestSurjectivityFromReports:
     """The verifier decides surjectivity: no solve computes the rank of
     J(0), and each realizer hands the solve the report of the hop's base."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from strongprops import verifiers
 from strongprops.errors import InputError, InternalCheckError
-from strongprops.numerics import fro
+from strongprops.numerics import DEFAULT_TOL, fro
 from strongprops.patterns import Graph, SignPattern, edge_span_basis
 from strongprops.verifiers import (
     verify_nssp,
@@ -357,15 +357,14 @@ class TestDirectSum:
         a = np.diag(np.arange(16.0))
         g = Graph.empty(16)
         assert verify_ssp(a, g).holds
-        original = verifiers._commutator_dual
+        original = verifiers._dense
 
-        def corrupted(w, graph):
-            cells, upper, dual = original(w, graph)
-            dual = dual.copy()
+        def corrupted(entries, shape):
+            dual = original(entries, shape).copy()
             dual[1, 0], dual[1, 1] = dual[1, 1], dual[1, 0]
-            return cells, upper, dual
+            return dual
 
-        monkeypatch.setattr(verifiers, "_commutator_dual", corrupted)
+        monkeypatch.setattr(verifiers, "_dense", corrupted)
         with pytest.raises(InternalCheckError, match="outside the direct-sum blocks"):
             verify_ssp(a, g)
 
@@ -414,8 +413,9 @@ def _elementwise_blocks(w, rows, cols):
 
 
 def test_kronecker_blocks_keep_the_signed_zeros_of_their_products():
-    # the realizers' Gauss-Newton steps factor these blocks with Householder
-    # steps that read the sign of a zero pivot, so the bits must not move
+    # the blocks assemble only the Kronecker primals, whose SVDs give the
+    # witnesses of failing verifications; their Householder steps read the
+    # sign of a zero pivot, so the bits must not move
     rng = np.random.default_rng(41)
     for n in (1, 2, 5, 7):
         w = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
@@ -426,6 +426,95 @@ def test_kronecker_blocks_keep_the_signed_zeros_of_their_products():
             left, commutator = _elementwise_blocks(w, rows, cols)
             assert verifiers._left_block(w, rows, cols).tobytes() == left.tobytes()
             assert verifiers._commutator_block(w, rows, cols).tobytes() == commutator.tobytes()
+
+
+def _negative_zeros(values) -> int:
+    return int(np.count_nonzero((values == 0) & np.signbit(values)))
+
+
+def _reference_dual(prop, w, cells):
+    """The eliminated dual of ``prop`` on ``cells`` from the elementwise
+    blocks; for the SAP without the dual's factor sqrt 2."""
+    n = w.shape[0]
+    if prop in ("ssp", "smp"):
+        upper = np.triu_indices(n, 1)
+        return (_elementwise_blocks(w, cells, upper)[1]
+                - _elementwise_blocks(w, cells, upper[::-1])[1])
+    every = np.divmod(np.arange(n * n), n)
+    if prop == "sap":
+        return (_elementwise_blocks(w, cells, every)[0]
+                + _elementwise_blocks(w, cells[::-1], every)[0])
+    return _elementwise_blocks(w, cells, every)[1]
+
+
+def _signed_inputs(rng, n):
+    """A matrix in S(G) and a square matrix in the class of a sign pattern,
+    both with negative entries, -0.0 on their non-edges or zero cells, and
+    1e-13, which the class checks accept, on one of them (mirrored for the
+    symmetric one)."""
+    g = random_graph(rng, n)
+    sym, cells = random_in_graph_class(rng, g), verifiers._non_edges(g)
+    assert len(cells[0]) >= 2
+    for value, part in ((1e-13, slice(None, 1)), (-0.0, slice(1, None))):
+        rows, cols = cells[0][part], cells[1][part]
+        sym[rows, cols] = sym[cols, rows] = value
+    square = random_square_with_zeros(rng, n)
+    pattern = SignPattern.from_matrix(square)
+    zero = np.nonzero(square == 0)
+    square[zero] = -0.0
+    square[zero[0][0], zero[1][0]] = 1e-13
+    return g, sym, pattern, square
+
+
+def test_dual_assembler_matches_the_elementwise_blocks(monkeypatch):
+    # the dense and the CSR form of each dual the verifiers assemble, on
+    # inputs whose elementwise blocks hold -0.0, and the charts' step
+    # matrices, which equal the same duals at -N or N in value
+    from strongprops import bifurcation
+
+    recorded = []
+    original = verifiers._dual_routes
+
+    def recording(entries, shape, *args, **kwargs):
+        recorded.append((entries, shape))
+        return original(entries, shape, *args, **kwargs)
+
+    monkeypatch.setattr(verifiers, "_dual_routes", recording)
+    rng = np.random.default_rng(47)
+    for n in (5, 6, 8):
+        g, sym, pattern, square = _signed_inputs(rng, n)
+        w = verifiers._prepare_symmetric(sym, g, DEFAULT_TOL)[1]
+        cases = [(prop, lambda verifier=verifier: verifier(sym, g), w, verifiers._non_edges(g))
+                 for prop, verifier in zip(("ssp", "smp", "sap"), ALL_SYMMETRIC)]
+        cases.append(("nssp", lambda: verify_nssp(square, pattern=pattern), square / fro(square),
+                      np.nonzero(pattern.as_array() == 0)))
+        for prop, verify, w, cells in cases:
+            recorded.clear()
+            verify()
+            [(entries, shape)] = recorded
+            reference = _reference_dual(prop, w, cells)
+            assert _negative_zeros(reference)
+            dense, sparse = verifiers._dense(entries, shape), verifiers._sparse(entries, shape)
+            assert np.array_equal(dense, reference)
+            assert np.array_equal(sparse.toarray(), reference)
+            assert not _negative_zeros(dense) and not _negative_zeros(sparse.data)
+
+        maps = [bifurcation.ssp_map(sym, g), bifurcation.smp_map(sym, g),
+                bifurcation.sap_map(sym, g), bifurcation.similarity_map(square, pattern),
+                bifurcation.superpattern_map(square, pattern, pattern)]
+        for pmap in maps:
+            # after a step N is nonzero on the residual cells
+            chart = bifurcation.LocalChart(pmap, pmap.base)
+            chart = chart.moved(0.05 * rng.normal(size=chart.step_matrix().shape[1]))
+            assert chart.residual().all()
+            prop = "nssp" if pmap.kind.startswith("nssp") else pmap.kind
+            point = -chart.point if pmap.kind in ("ssp", "smp", "nssp_similar") else chart.point
+            for cells in (chart.cells, chart.free):
+                reference = _reference_dual(prop, point, cells)
+                entries = verifiers._kronecker_entries(point, cells, prop)
+                dual = verifiers._dense(entries, reference.shape)
+                assert np.array_equal(dual, reference) and not _negative_zeros(dual)
+                assert np.array_equal(chart.step_matrix(cells)[:, :reference.shape[1]], dual)
 
 
 DECISION_FIELDS = ("holds", "nullspace_dim", "dual_span_dim", "dual_verdict", "q_used", "q_alternatives")
@@ -488,27 +577,6 @@ class TestGramRoute:
 
         monkeypatch.setattr(verifiers, "_gram_dual", recording)
         return decided
-
-    def test_sparse_duals_equal_the_dense_duals(self, monkeypatch):
-        assemblers = []
-        original = verifiers._dual_routes
-
-        def recording(shape, blocks, dense, sparse, *args, **kwargs):
-            assemblers.append((dense, sparse))
-            return original(shape, blocks, dense, sparse, *args, **kwargs)
-
-        monkeypatch.setattr(verifiers, "_dual_routes", recording)
-        rng = np.random.default_rng(43)
-        for n in (2, 5, 8):
-            g = random_graph(rng, n)
-            a = random_in_graph_class(rng, g)
-            for verifier in ALL_SYMMETRIC:
-                verifier(a, g)
-            verify_nssp(random_square_with_zeros(rng, n))
-        for dense, sparse in assemblers:
-            matrix, trailing = sparse()
-            full = matrix.toarray() if trailing is None else np.hstack([matrix.toarray(), trailing])
-            assert np.array_equal(full, dense())
 
     def test_verifications_at_n32_are_deterministic(self, gram_decisions):
         rng = np.random.default_rng(44)
@@ -607,15 +675,14 @@ class TestGramRoute:
         assert gram_decisions == [True]
 
     def test_disagreement_with_a_broken_dense_dual_names_it(self, gram_decisions, monkeypatch):
-        original = verifiers._commutator_dual
+        original = verifiers._dense
 
-        def zero_row(w, graph):
-            cells, upper, dual = original(w, graph)
-            dual = dual.copy()
+        def zero_row(entries, shape):
+            dual = original(entries, shape).copy()
             dual[0] = 0.0
-            return cells, upper, dual
+            return dual
 
-        monkeypatch.setattr(verifiers, "_commutator_dual", zero_row)
+        monkeypatch.setattr(verifiers, "_dense", zero_row)
         g = Graph.path(6)
         with pytest.raises(InternalCheckError) as error:
             verify_ssp(random_in_graph_class(np.random.default_rng(45), g), g)
