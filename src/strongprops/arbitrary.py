@@ -386,6 +386,9 @@ def certify_spectrally_arbitrary(
     """
     a = as_matrix(a, "witness matrix")
     require_square(a, "witness matrix")
+    targets = list(targets)
+    if not targets:
+        raise InputError("no target spectra: a certificate needs evidence")
     norms, report = _certify_hypothesis(p, a, tol, require_nilpotent=True)
     trust = default_trust_radius(a)
     limit = 0.5 * trust

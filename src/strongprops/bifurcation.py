@@ -102,8 +102,8 @@ from .patterns import (
 from .verifiers import (
     SQRT2,
     StrongPropertyReport,
-    _commutator_block,
-    _left_block,
+    _dense,
+    _kronecker_entries,
     _non_edges,
     verify_nssp,
     verify_sap,
@@ -427,9 +427,8 @@ class LocalChart:
     verifier's eliminated dual block at N (SSP: [K', N] over the skew
     pairs E_ij - E_ji, i < j; SAP: N L' + L'^T N; nSSP: the commutator
     over all n^2 cells), plus one column U P_j U^T per target cluster for
-    the SMP.  In value it is :func:`verifiers._kronecker_entries` at -N or N,
-    but it is broadcast: its zeros' signs (-0.0 where a negative entry of N
-    meets a zero) reach the realized matrices through Householder pivots.
+    the SMP.  The block comes from the verifiers' one assembler of the
+    dual, :func:`verifiers._kronecker_entries`, at -N or N.
     """
 
     def __init__(self, f: PerturbationMap, m, tol: Tolerances = DEFAULT_TOL):
@@ -498,24 +497,17 @@ class LocalChart:
         strictly upper pairs (ssp, smp) or L' over all cells in row-major
         order, then c' (smp)."""
         cells = self.cells if cells is None else cells
-        point, cols = self.point, self._columns
         kind = self.f.kind
-        if kind in ("ssp", "smp"):
-            jac = _commutator_block(point, cells, cols[::-1]) - _commutator_block(
-                point, cells, cols
-            )
-            if kind == "smp":
-                w = self._frame + self.displacement @ self._frame
-                products = w[cells[0]] * w[cells[1]]
-                starts = np.cumsum(self._sizes) - self._sizes
-                jac = np.hstack([jac, np.add.reduceat(products, starts, axis=1)])
-            return jac
-        if kind == "sap":
-            return _left_block(point, cells, cols) + _left_block(
-                point, cells[::-1], cols
-            )
-        jac = _commutator_block(point, cells, cols)
-        return -jac if kind == "nssp_similar" else jac
+        point = self.point if kind in ("sap", "nssp_superpattern") else -self.point
+        prop = "nssp" if kind.startswith("nssp") else kind
+        shape = (len(cells[0]), len(self._columns[0]))
+        jac = _dense(_kronecker_entries(point, cells, prop), shape)
+        if kind == "smp":
+            w = self._frame + self.displacement @ self._frame
+            products = w[cells[0]] * w[cells[1]]
+            starts = np.cumsum(self._sizes) - self._sizes
+            jac = np.hstack([jac, np.add.reduceat(products, starts, axis=1)])
+        return jac
 
     def lie_step(self, step) -> np.ndarray:
         """The step's K' or L' as an n x n matrix."""
@@ -910,8 +902,9 @@ def realize_multiplicity_list(
     Requires the SMP at A: ``base_report`` is the caller's SMP report for
     A (a report for another property is refused); without one, A is
     verified here.  The base is rescaled to unit Frobenius norm for the
-    solve (the correction polynomial uses raw monomials, so conditioning
-    matters) and scaled back afterwards; scaling is an exact
+    solve (the SMP chart's cluster-value columns are O(1), while its group
+    columns scale with A, so a small base would let the former outweigh
+    the latter) and scaled back afterwards; scaling is an exact
     similarity-respecting transformation.  ``trust_radius`` is in A's
     units, as for :func:`realize_spectrum`, and is rescaled with the base.
     The split is one hop whose width halves until it is solved.  The
@@ -923,7 +916,7 @@ def realize_multiplicity_list(
     target = OrderedMultiplicityList(entries=tuple(int(m) for m in target))
     if target.total != g.n:
         raise InputError(f"multiplicity list must sum to {g.n}")
-    scale = max(1.0, fro(a))
+    scale = fro(a) or 1.0
     w = a / scale
     trust = _trust_radius(w, None if trust_radius is None else float(trust_radius) / scale)
     base_report = _checked_base(base_report, "smp", lambda: verify_smp(a, g, tol))

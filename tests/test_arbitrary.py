@@ -161,20 +161,25 @@ class TestSpectrallyArbitrary:
         assert e.ok
         assert np.max(np.abs(char_poly(e.matrix)[:-1])) <= 1e-7
 
+    def test_no_targets_rejected(self, example15, example15_pattern):
+        # a certificate without evidence would read complete
+        with pytest.raises(InputError):
+            certify_spectrally_arbitrary(example15_pattern, example15, [])
+
     def test_non_nilpotent_witness_rejected(self, example15_pattern):
         a = np.array([[-1.0, 1.0, -1.0], [-2.0, 2.0, -2.0], [-1.0, 1.0, -2.0]])
         with pytest.raises(HypothesisFailure) as info:
-            certify_spectrally_arbitrary(example15_pattern, a, [])
+            certify_spectrally_arbitrary(example15_pattern, a, [[0.0] * 3])
         assert "power_norm" in info.value.details
 
     def test_witness_outside_class_rejected(self, example15, example15_pattern):
         with pytest.raises(HypothesisFailure):
-            certify_spectrally_arbitrary(example15_pattern, -example15, [])
+            certify_spectrally_arbitrary(example15_pattern, -example15, [[0.0] * 3])
 
     def test_witness_without_nssp_rejected(self):
         j2 = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(HypothesisFailure):
-            certify_spectrally_arbitrary(SignPattern.from_matrix(j2), j2, [])
+            certify_spectrally_arbitrary(SignPattern.from_matrix(j2), j2, [[0.0] * 2])
 
 
 class TestRaiseNilpotentIndex:

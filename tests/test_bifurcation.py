@@ -374,6 +374,19 @@ class TestRealizeMultiplicityList:
         with pytest.raises(InputError):
             realize_multiplicity_list(twisted_c4, c4, [2, 2, 1])
 
+    @pytest.mark.parametrize("s", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_scaled_cycles(self, s):
+        # the SMP chart's cluster-value columns are O(1) and its group
+        # columns scale with the base, so a base of any norm is solved at
+        # unit norm
+        c6, c8 = Graph.cycle(6), Graph.cycle(8)
+        res = realize_multiplicity_list(s * adjacency(c8), c8, (1, 1, 1, 2, 2, 1))
+        assert tuple(res.achieved) == (1, 1, 1, 2, 2, 1)
+        assert matrix_in_graph_class(res.matrix, c8)
+        res = realize_multiplicity_list(s * adjacency(c6), c6, (1,) * 6)
+        assert tuple(res.achieved) == (1,) * 6
+        assert realize_q(s * adjacency(c6), c6, 6).achieved == 6
+
 
 class TestRealizeInertia:
     def test_identity(self):

@@ -23,6 +23,12 @@ rank cut, 1e-8 times sigma_max <= 2), is
 
     paste -d' ' a.txt b.txt | awk '$6 != $12 && $6 > 1e-7 {d = $12 / $6 - 1; if (d < 0) d = -d; if (d > w) w = d} END {print w + 0}'
 
+The census of a workload's ops that are not ``ok`` over seeds 1-100 (seed,
+index, kind and status of each, then their count; about 3.4 s a seed for
+``pipelines`` on one core of a shared 2-vCPU Intel Xeon host) is
+
+    for s in $(seq 1 100); do python3 tools/deck_digest.py --workload pipelines --seed $s | awk -v s=$s '$1 != "total" && $1 != "decisions" && $3 != "ok" {print s, $1, $2, $3}'; done | awk '{print} END {print NR, "not ok"}'
+
 The output hashed is:
 
 verify
