@@ -344,6 +344,19 @@ def _certify_hypothesis(
     return norms, report
 
 
+def _evidence(target_kind: str, target, run) -> Evidence:
+    """One evidence entry for ``target``: ``run()`` returns (matrix,
+    residual, achieved, detail), and the entry holds when ``detail`` is
+    empty.  A :class:`NoConvergence`, :class:`PatternViolation` or
+    :class:`SurjectivityFailure` raised by ``run()`` records a failed entry
+    with its message."""
+    try:
+        matrix, residual, achieved, detail = run()
+    except (NoConvergence, PatternViolation, SurjectivityFailure) as exc:
+        return Evidence(target_kind, target, ok=False, detail=str(exc))
+    return Evidence(target_kind, target, not detail, residual, matrix, achieved, detail)
+
+
 def _first_success(attempt, values, message: str | None = None):
     """``attempt(value)`` for each value in turn, until one returns without
     :class:`NoConvergence` or :class:`PatternViolation`.  When all of them
@@ -411,37 +424,19 @@ def certify_spectrally_arbitrary(
             m = nilpotent_nearby(a, target.scaled(1.0 / k), tol=tol)
             return k, _realize_with_ladder(a, p, m, tol, report)
 
-        try:
-            k, res = _first_success(attempt, (k << i for i in range(_CERT_SCALE_ATTEMPTS)))
-            realized = float(k) * res.matrix
-            if not matrix_in_sign_class(realized, p, tol):
-                raise PatternViolation("scaled realization left the sign class")
-            residual = float(
-                np.max(np.abs(char_poly(realized) - target.char_poly()))
+        def run():
+            # k is a power of two, so the scaled realization keeps its signs
+            # and its class
+            used, res = _first_success(attempt, (k << i for i in range(_CERT_SCALE_ATTEMPTS)))
+            realized = float(used) * res.matrix
+            residual = float(np.max(np.abs(char_poly(realized) - target.char_poly())))
+            achieved = [str(v) for v in np.round(real_schur(realized).eigenvalues(), 12)]
+            return realized, residual, achieved, (
+                "" if residual <= CHAR_POLY_RESIDUAL_TOL else
+                "characteristic polynomial residual above tolerance"
             )
-            evidence.append(
-                Evidence(
-                    target_kind="spectrum",
-                    target=target.describe(),
-                    ok=residual <= CHAR_POLY_RESIDUAL_TOL,
-                    residual=residual,
-                    matrix=realized,
-                    achieved=[str(v) for v in np.round(
-                        real_schur(realized).eigenvalues(), 12
-                    )],
-                    detail="" if residual <= CHAR_POLY_RESIDUAL_TOL else
-                    "characteristic polynomial residual above tolerance",
-                )
-            )
-        except (NoConvergence, PatternViolation, SurjectivityFailure) as exc:
-            evidence.append(
-                Evidence(
-                    target_kind="spectrum",
-                    target=target.describe(),
-                    ok=False,
-                    detail=str(exc),
-                )
-            )
+
+        evidence.append(_evidence("spectrum", target.describe(), run))
     return Certificate(
         kind="spectrally_arbitrary",
         pattern=p,
@@ -598,28 +593,24 @@ def certify_inertially_arbitrary(
     for p_t in range(n + 1):
         for q_t in range(n + 1 - p_t):
             target = (p_t, q_t, n - p_t - q_t)
-            try:
-                pairs_pos, zeros_pos, pairs_neg, zeros_neg = _allocate_perturbations(
-                    p_t, q_t, len(pair_blocks), len(zero_slots)
-                )
+            pairs_pos, zeros_pos, pairs_neg, zeros_neg = _allocate_perturbations(
+                p_t, q_t, len(pair_blocks), len(zero_slots)
+            )
 
-                def attempt(delta):
-                    shift = np.zeros((n, n))
-                    for start in pair_blocks[:pairs_pos]:
-                        shift[start, start] = shift[start + 1, start + 1] = delta
-                    for start in pair_blocks[pairs_pos : pairs_pos + pairs_neg]:
-                        shift[start, start] = shift[start + 1, start + 1] = -delta
-                    for slot in zero_slots[:zeros_pos]:
-                        shift[slot, slot] = delta
-                    for slot in zero_slots[zeros_pos : zeros_pos + zeros_neg]:
-                        shift[slot, slot] = -delta
-                    m = (
-                        schur.orthogonal
-                        @ (schur.quasi_triangular + shift)
-                        @ schur.orthogonal.T
-                    )
-                    return realize_similar(a, p, m, tol, base_report=report)
+            def attempt(delta):
+                shift = np.zeros((n, n))
+                for start in pair_blocks[:pairs_pos]:
+                    shift[start, start] = shift[start + 1, start + 1] = delta
+                for start in pair_blocks[pairs_pos : pairs_pos + pairs_neg]:
+                    shift[start, start] = shift[start + 1, start + 1] = -delta
+                for slot in zero_slots[:zeros_pos]:
+                    shift[slot, slot] = delta
+                for slot in zero_slots[zeros_pos : zeros_pos + zeros_neg]:
+                    shift[slot, slot] = -delta
+                m = schur.orthogonal @ (schur.quasi_triangular + shift) @ schur.orthogonal.T
+                return realize_similar(a, p, m, tol, base_report=report)
 
+            def run():
                 # Any positive shift realizes the same inertia, so the shift
                 # shrinks until the target sits inside the reachable
                 # neighborhood of the witness.
@@ -627,27 +618,11 @@ def certify_inertially_arbitrary(
                     attempt, (delta0 / 4.0**i for i in range(_INERTIA_SHIFT_ATTEMPTS))
                 )
                 achieved = inertia(res.matrix, tol)
-                evidence.append(
-                    Evidence(
-                        target_kind="inertia",
-                        target=list(target),
-                        ok=achieved == target,
-                        residual=res.final_residual,
-                        matrix=res.matrix,
-                        achieved=achieved,
-                        detail="" if achieved == target else
-                        f"achieved inertia {achieved}",
-                    )
+                return res.matrix, res.final_residual, achieved, (
+                    "" if achieved == target else f"achieved inertia {achieved}"
                 )
-            except (NoConvergence, PatternViolation, SurjectivityFailure) as exc:
-                evidence.append(
-                    Evidence(
-                        target_kind="inertia",
-                        target=list(target),
-                        ok=False,
-                        detail=str(exc),
-                    )
-                )
+
+            evidence.append(_evidence("inertia", list(target), run))
     return Certificate(
         kind="inertially_arbitrary",
         pattern=p,

@@ -766,7 +766,7 @@ def _homotopy(
     progress=None,
     hops: int = MAX_HOMOTOPY_HOPS,
     recheck: bool = True,
-):
+) -> RealizationResult:
     """Continuation from ``f.base`` through the hops that ``plan`` lays out,
     with the step size controlled by halving (Allgower and Georg, Numerical
     Continuation Methods, 1990).
@@ -780,10 +780,11 @@ def _homotopy(
     :class:`PatternViolation`, and when ``progress(new, trust)`` judges that
     an accepted hop moved too little (the hop is still kept).  The halving
     past the MAX_TRUST_HALVINGS-th, or a round past hops + MAX_TRUST_HALVINGS,
-    raises :class:`NoConvergence` naming ``what``.  Returns (matrix, report,
-    Gauss-Newton iterations, residual trace, final residual).
+    raises :class:`NoConvergence` naming ``what``.  Returns the last accepted
+    hop's result with ``iterations`` and ``residual_trace`` summed over the
+    accepted hops, or the base with 0 iterations when the plan ends first.
     """
-    cur, halvings, iterations, trace, residual = f.base, 0, 0, [], 0.0
+    cur, halvings, iterations, trace, res = f.base, 0, 0, [], None
 
     def halve(reason: str, cause=None) -> None:
         nonlocal trust, halvings
@@ -795,7 +796,7 @@ def _homotopy(
     for _round in range(hops + MAX_TRUST_HALVINGS):
         step = plan(cur, trust)
         if step is None:
-            return cur, report, iterations, trace, residual
+            break
         m, last = step
         try:
             res = solve_to_target(f, m, tol, recheck=recheck, base_report=report)
@@ -804,14 +805,17 @@ def _homotopy(
             continue
         iterations += res.iterations
         trace.extend(res.residual_trace)
-        residual = res.final_residual
         if last:
-            return res.matrix, res.property_report, iterations, trace, residual
+            break
         if progress is not None and not progress(res.matrix, trust):
             halve("stalled")
         cur, report = res.matrix, res.property_report
         f = f.rebased(cur)
-    raise NoConvergence(f"{what} did not terminate")
+    else:
+        raise NoConvergence(f"{what} did not terminate")
+    if res is None:
+        return _result(f.required_nonzero(), cur, "matrix", cur, cur, 0, 0.0, (0.0,), report)
+    return replace(res, iterations=iterations, residual_trace=tuple(trace))
 
 
 def _with_spectrum(vectors: np.ndarray, values) -> np.ndarray:
@@ -855,13 +859,11 @@ def realize_spectrum(
         waypoint = target if last else dec.eigenvalues + (trust / dist) * delta
         return _with_spectrum(dec.eigenvectors, waypoint), last
 
-    cur, report, iterations, trace, residual = _homotopy(
-        ssp_map(a, g), base_report, trust, plan, tol, "spectrum homotopy"
-    )
-    achieved = sym_eig(cur, tol).eigenvalues
-    return _result(
-        g.edges, cur, "spectrum", tuple(float(v) for v in target),
-        tuple(float(v) for v in achieved), iterations, residual, trace, report,
+    res = _homotopy(ssp_map(a, g), base_report, trust, plan, tol, "spectrum homotopy")
+    achieved = sym_eig(res.matrix, tol).eigenvalues
+    return replace(
+        res, target_kind="spectrum", target=tuple(float(v) for v in target),
+        achieved=tuple(float(v) for v in achieved),
     )
 
 
@@ -938,27 +940,28 @@ def realize_multiplicity_list(
     def plan(_cur, delta):
         return _with_spectrum(dec.eigenvectors, _split_values(clusters, blocks, delta)), True
 
-    # the SMP of the scaled base is the SMP of A, and the realized matrix
-    # is verified once, after scaling back
-    realized, _, iterations, trace, residual = _homotopy(
+    # the SMP of the scaled base is the SMP of A; the realized list is read
+    # at unit norm, as the base's, and the SMP once, after scaling back
+    res = _homotopy(
         smp_map(w, g, tol), base_report, min(0.25 * _min_cluster_gap(clusters), trust),
         plan, tol, "multiplicity split", recheck=False,
     )
-    a_prime = scale * realized
-    achieved = ordered_multiplicity_list(sym_eig(a_prime, tol).eigenvalues, tol)
+    achieved = ordered_multiplicity_list(sym_eig(res.matrix, tol).eigenvalues, tol)
     if tuple(achieved) != tuple(target):
         raise NoConvergence(
             f"achieved multiplicity list {tuple(achieved)} differs from the "
             f"target {tuple(target)}"
         )
+    a_prime = scale * res.matrix
     report = verify_smp(a_prime, g, tol)
     if not report.holds:
         raise PropertyNotPreserved(
             "realized matrix lost the SMP; the split was too large"
         )
-    return _result(
-        g.edges, a_prime, "multiplicity_list", tuple(target), tuple(achieved),
-        iterations, residual, trace, report,
+    return replace(
+        res, matrix=a_prime, target_kind="multiplicity_list", target=tuple(target),
+        achieved=tuple(achieved), property_report=report,
+        marginal_entries=tuple(marginal_cells(a_prime, g.edges)),
     )
 
 
@@ -1010,14 +1013,10 @@ def realize_inertia(
         new_lam[zero_idx[:k]] = np.repeat([-1.0, 1.0], [down, up]) * (0.5 * trust / math.sqrt(k))
         return _with_spectrum(dec.eigenvectors, new_lam), False
 
-    cur, report, iterations, trace, residual = _homotopy(
-        sap_map(a, g), base_report, trust, plan, tol, "inertia walk", hops=4 * g.n
-    )
+    res = _homotopy(sap_map(a, g), base_report, trust, plan, tol, "inertia walk", hops=4 * g.n)
     # the plan ends the walk only at the target inertia
-    return _result(
-        g.edges, cur, "inertia", (p_target, q_target), (p_target, q_target),
-        iterations, residual, trace if trace else (0.0,), report,
-    )
+    target = (p_target, q_target)
+    return replace(res, target_kind="inertia", target=target, achieved=target)
 
 
 def realize_rank(
@@ -1371,14 +1370,12 @@ def realize_similar(
         old, walk = walk, _spectral_walk(real_schur(new), *target)
         return not walk.distance > old.distance - 0.1 * trust
 
-    realized, report, iterations, trace, residual = _homotopy(
+    res = _homotopy(
         similarity_map(a, p), base_report, trust, plan, tol, "similarity homotopy",
         progress=progress,
     )
-    return _result(
-        p.nonzero_cells(), realized, "similar", m_target,
-        _char_poly_residual(realized, target_coeffs), iterations, residual, trace, report,
-    )
+    achieved = _char_poly_residual(res.matrix, target_coeffs)
+    return replace(res, target_kind="similar", target=m_target, achieved=achieved)
 
 
 def realize_superpattern(
@@ -1417,11 +1414,9 @@ def realize_superpattern(
     for i, j in new_cells:
         e[i, j] = float(p_super.sign_at(i, j))
     s = 0.5 * default_trust_radius(a) / math.sqrt(len(new_cells)) if step is None else step
-    realized, report, iterations, trace, residual = _homotopy(
+    res = _homotopy(
         superpattern_map(a, p, p_super), base_report, s,
         lambda _cur, size: (a + size * e, True), tol, "superpattern step",
     )
-    return _result(
-        p_super.nonzero_cells(), realized, "superpattern", p_super.to_lines(),
-        _char_poly_residual(realized, char_poly(a)), iterations, residual, trace, report,
-    )
+    achieved = _char_poly_residual(res.matrix, char_poly(a))
+    return replace(res, target_kind="superpattern", target=p_super.to_lines(), achieved=achieved)

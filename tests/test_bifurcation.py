@@ -387,6 +387,16 @@ class TestRealizeMultiplicityList:
         assert tuple(res.achieved) == (1,) * 6
         assert realize_q(s * adjacency(c6), c6, 6).achieved == 6
 
+    @pytest.mark.parametrize("s", [1e-8, 1e-6])
+    @pytest.mark.parametrize("n, target", [(8, (1, 1, 1, 2, 2, 1)), (6, (1,) * 6)])
+    def test_tiny_cycles_read_the_achieved_list_at_unit_norm(self, s, n, target):
+        # below spread 1 the clustering threshold is absolute, so the
+        # achieved list is read where the base's is, on the unit-norm matrix
+        g = Graph.cycle(n)
+        res = realize_multiplicity_list(s * adjacency(g), g, target)
+        assert tuple(res.achieved) == target
+        assert matrix_in_graph_class(res.matrix, g) and res.property_report.holds
+
 
 class TestRealizeInertia:
     def test_identity(self):

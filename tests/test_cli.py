@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strongprops.cli import main
-from strongprops.patterns import format_matrix, parse_matrix_text
+from strongprops.cli import EXIT_INTERNAL, EXIT_OK, SCHEMA, main
+from strongprops.patterns import SignPattern, format_matrix, parse_matrix_text
 
 
 @pytest.fixture
@@ -421,3 +427,95 @@ class TestToleranceFlags:
         )
         assert code == 2
         assert "STRONGPROPS_TOLERANCES" in err
+
+
+# nilpotent witnesses, so that some certificates get past their hypothesis
+_WITNESSES = (
+    np.array([[1.0, -1.0], [1.0, -1.0]]),
+    np.array([[-1.0, 1.0, -1.0], [-2.0, 2.0, -2.0], [-1.0, 1.0, -1.0]]),
+)
+_GARBAGE = st.text("0123456789 .-+eix#\n", max_size=20)
+
+
+@st.composite
+def _cli_runs(draw):
+    """The files and argv of one ``--json`` run of verify, realize or
+    certify: a matrix of size up to 4 (most often symmetric), a graph and a
+    pattern (read off the matrix unless a drawn flag says otherwise), a
+    second matrix and pattern as targets, and a file of target spectra.
+    Now and then a file is garbage."""
+    n = draw(st.integers(1, 4))
+
+    def size():
+        return draw(st.one_of(st.just(n), st.integers(1, 4)))
+
+    def matrix():
+        if draw(st.integers(0, 5)) == 3:
+            return draw(st.sampled_from(_WITNESSES))
+        k = size()
+        entries = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+        a = np.array(draw(st.lists(entries, min_size=k * k, max_size=k * k))).reshape(k, k)
+        return a if draw(st.integers(0, 3)) == 1 else np.triu(a) + np.triu(a, 1).T
+
+    def graph(a):
+        k = size() if draw(st.booleans()) else len(a)
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k)
+                 if (a[i, j] != 0 if k == len(a) else draw(st.booleans()))]
+        return f"{k} {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges)
+
+    def pattern(a):
+        if not draw(st.booleans()):
+            return "\n".join(SignPattern.from_matrix(a).to_lines()) + "\n"
+        k = size()
+        return "".join(draw(st.text("+-0", min_size=k, max_size=k)) + "\n" for _ in range(k))
+
+    a, m = matrix(), matrix()
+    tokens = st.sampled_from(["0", "1", "-2", "0.5", "0+1i", "-1+0.5i", "2-1i", "x"])
+    files = {
+        "a.mat": format_matrix(a), "g.graph": graph(a), "p.pat": pattern(a),
+        "m.mat": format_matrix(m), "q.pat": pattern(m),
+        "t.txt": "".join(" ".join(draw(st.lists(tokens, max_size=5))) + "\n" for _ in range(2)),
+    }
+    for name in files:
+        if draw(st.integers(0, 9)) == 5:
+            files[name] = draw(_GARBAGE)
+    values = " ".join(draw(st.lists(st.sampled_from(["-2", "-1", "0", "1", "2.5"]), max_size=5)))
+    counts = " ".join(draw(st.lists(st.sampled_from(["0", "1", "2", "3"]), max_size=4)))
+    command = draw(st.sampled_from(["verify", "realize", "certify"]))
+    if command == "verify":
+        prop = draw(st.sampled_from(["ssp", "smp", "sap", "nssp"]))
+        argv = ["verify", "a.mat", "--property", prop]
+        if prop != "nssp":
+            argv += ["--graph", "g.graph"]
+        elif draw(st.booleans()):
+            argv += ["--pattern", "p.pat"]
+    elif command == "realize":
+        target = draw(st.sampled_from([
+            f"--target-spectrum={values}", f"--target-mlist={counts}",
+            f"--target-inertia={counts}", f"--target-rank={size()}",
+            f"--target-q={size()}", "--similar-to", "--superpattern",
+        ]))
+        argv = ["realize", "a.mat", "--graph", "g.graph", "--pattern", "p.pat", target]
+        argv += {"--similar-to": ["m.mat"], "--superpattern": ["q.pat"]}.get(target, [])
+    else:
+        mode = draw(st.sampled_from([["--inertially-arbitrary"], ["--spectrally-arbitrary", "t.txt"]]))
+        argv = ["certify", "p.pat", "a.mat", *mode]
+    return files, argv + ["--json"]
+
+
+@settings(max_examples=60)
+@given(_cli_runs())
+def test_cli_fuzz_exits_with_a_documented_code(run_case):
+    files, argv = run_case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text)
+        argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert EXIT_OK <= code <= EXIT_INTERNAL
+    if out.getvalue():
+        assert json.loads(out.getvalue())["schema"] == SCHEMA
+    else:
+        assert code != EXIT_OK and err.getvalue()

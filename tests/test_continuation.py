@@ -24,7 +24,7 @@ from strongprops.bifurcation import (
     solve_to_target,
     ssp_map,
 )
-from strongprops.errors import NoConvergence
+from strongprops.errors import NoConvergence, PatternViolation, SurjectivityFailure
 from strongprops.numerics import DEFAULT_TOL
 from strongprops.patterns import Graph, SignPattern
 
@@ -108,19 +108,35 @@ def test_unfinished_plan_is_bounded_by_the_hops(twisted_c4, c4):
 
 def test_driver_solves_each_hop_once_and_rebases(twisted_c4, c4):
     f = ssp_map(twisted_c4, c4)
-    targets = [1.01 * twisted_c4, 1.02 * twisted_c4]
+    # off the graph, so that each hop takes Gauss-Newton iterations
+    e = np.zeros((4, 4))
+    e[0, 2] = e[2, 0] = 1.0
+    targets = [twisted_c4 + 0.01 * e, twisted_c4 + 0.02 * e]
     seen = []
 
     def plan(cur, trust):
         seen.append(cur)
         return targets[len(seen) - 1], len(seen) == len(targets)
 
-    matrix, report, _, trace, residual = bifurcation._homotopy(
-        f, None, 1.0, plan, DEFAULT_TOL, "test walk"
-    )
-    assert report.holds and trace[-1] == residual
+    res = bifurcation._homotopy(f, None, 1.0, plan, DEFAULT_TOL, "test walk")
     assert np.array_equal(seen[0], twisted_c4)
-    assert np.array_equal(matrix, solve_to_target(f.rebased(seen[1]), targets[1]).matrix)
+    hops = [solve_to_target(f, targets[0]), solve_to_target(f.rebased(seen[1]), targets[1])]
+    assert np.array_equal(seen[1], hops[0].matrix)
+    assert np.array_equal(res.matrix, hops[1].matrix) and res.property_report.holds
+    # the last hop's result, with iterations and residuals over both hops
+    assert res.iterations == hops[0].iterations + hops[1].iterations > 0
+    assert res.residual_trace == hops[0].residual_trace + hops[1].residual_trace
+    assert res.final_residual == hops[1].final_residual == res.residual_trace[-1]
+
+
+def test_driver_returns_the_base_when_the_plan_ends_at_once(twisted_c4, c4):
+    f = ssp_map(twisted_c4, c4)
+    report = f.verify_base(DEFAULT_TOL)
+    res = bifurcation._homotopy(
+        f, report, 1.0, lambda cur, trust: None, DEFAULT_TOL, "test walk"
+    )
+    assert res.matrix is f.base and res.property_report is report
+    assert (res.iterations, res.final_residual, res.residual_trace) == (0, 0.0, (0.0,))
 
 
 def test_spectral_certificate_tries_each_scale(monkeypatch, example15, example15_pattern):
@@ -149,6 +165,19 @@ def test_inertial_certificate_tries_each_shift(monkeypatch):
     assert len(cert.evidence) == 6
     assert all(not e.ok and e.detail == "always fails" for e in cert.evidence)
     assert len(solves) == 6 * arbitrary._INERTIA_SHIFT_ATTEMPTS
+
+
+@pytest.mark.parametrize("error", [PatternViolation, SurjectivityFailure])
+def test_certificate_records_each_failure_with_its_message(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("left the class")
+
+    monkeypatch.setattr(arbitrary, "realize_similar", fail)
+    w = np.array([[1.0, -1.0], [1.0, -1.0]])
+    cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
+    assert not cert.complete and len(cert.evidence) == 6
+    for e in cert.evidence:
+        assert (e.ok, e.detail, e.matrix, e.residual) == (False, "left the class", None, None)
 
 
 def test_raise_nilpotent_index_gives_up_with_no_convergence(

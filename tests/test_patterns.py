@@ -369,6 +369,52 @@ class TestFileFormats:
         assert np.array_equal(a, again)
 
 
+# every finite double, with the edge cases drawn often: signed zeros,
+# subnormals, the smallest normal and magnitudes near the top of the range
+_DOUBLES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_matrix_text_round_trips_bitwise(rows, cols, data):
+    values = data.draw(st.lists(_DOUBLES, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(values).reshape(rows, cols)
+    again = parse_matrix_text(format_matrix(a))
+    assert again.shape == a.shape and again.tobytes() == a.tobytes()
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.text("+-0", min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_sign_pattern_text_round_trips(lines):
+    p = SignPattern.from_text_lines(list(enumerate(lines, start=1)))
+    assert p.to_lines() == lines
+    assert SignPattern.from_text_lines(list(enumerate(p.to_lines(), start=1))) == p
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    # (i, i + d mod n) with 0 < d < n is never a loop
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1))).map(
+        lambda e: (e[0], (e[0] + e[1]) % n)), max_size=12 if n > 1 else 0),
+)))
+def test_graph_text_round_trips(instance):
+    n, edges = instance
+    g = Graph.from_edges(n, edges)
+
+    def text(pairs):
+        return f"{n} {len(pairs)}\n" + "".join(f"{i} {j}\n" for i, j in pairs)
+
+    # the graph's own text, and the drawn edges with repeats and either orientation
+    assert parse_graph_text(text(g.edges)) == g
+    assert parse_graph_text(text(edges)) == g
+
+
 def _graph_class_loop(a, g) -> bool:
     """Entry-by-entry reference for matrix_in_graph_class."""
     a = symmetrize(a)
