@@ -66,11 +66,11 @@ NILPOTENT_NORM_RTOL = 1e-8
 #: Largest acceptable deviation of realized characteristic-polynomial
 #: coefficients from the target's, measured at the full (scaled-back) size.
 CHAR_POLY_RESIDUAL_TOL = 1e-7
-#: Newton tolerances tried for certification solves, tightest first: the
-#: scale-back by k amplifies coefficient errors by k^n, so the downscaled
-#: solve must land well below the reporting tolerance.  A solve stops at
-#: its first residual under the rung, so the rung bounds that error.
-_CERT_NEWTON_LADDER = (1e-14, 1e-13, 1e-12)
+#: Newton tolerance of the spectral certificate's solves (or the caller's,
+#: when tighter): the scale-back by k amplifies coefficient errors by k^n,
+#: so the downscaled solve must land well below the reporting tolerance.
+#: A solve stops at its first residual under it, so it bounds that error.
+_CERT_NEWTON_TOL = 1e-14
 MAX_INDEX_ATTEMPTS = 20
 #: Per-target retries of the inertia certificate, shrinking the real-part
 #: shift by 4 each time (0.07 / 4^7 still clears the eigenvalue-zero
@@ -301,7 +301,10 @@ class Certificate:
     hypothesis: dict
     nssp_report: StrongPropertyReport | None
     evidence: tuple[Evidence, ...]
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        return all(e.ok for e in self.evidence)
 
     def as_dict(self) -> dict:
         return {
@@ -316,12 +319,11 @@ class Certificate:
 
 
 def _certify_hypothesis(
-    p: SignPattern, a: np.ndarray, tol: Tolerances, require_nilpotent: bool,
-    require_nssp: bool = True,
+    p: SignPattern, a: np.ndarray, tol: Tolerances, require_nilpotent: bool
 ):
     """Check the witness: its size, its class and, when required, that it
-    is nilpotent and has the nSSP.  Returns (nilpotency norms, nSSP
-    report), each None when not required."""
+    is nilpotent.  Returns the nilpotency norms, or None when not
+    required."""
     if a.shape[0] != p.n:
         raise HypothesisFailure(
             f"witness size {a.shape[0]} does not match pattern size {p.n}"
@@ -333,15 +335,19 @@ def _certify_hypothesis(
         raise HypothesisFailure(
             "witness matrix is not nilpotent within tolerance", details=norms
         )
-    if not require_nssp:
-        return norms, None
+    return norms
+
+
+def _nssp_hypothesis(p: SignPattern, a: np.ndarray, tol: Tolerances) -> StrongPropertyReport:
+    """The witness's nSSP report; a witness without the nSSP fails the
+    hypothesis."""
     report = verify_nssp(a, tol, pattern=p)
     if not report.holds:
         raise HypothesisFailure(
             "witness matrix does not have the nSSP",
             details={"nullspace_dim": report.nullspace_dim},
         )
-    return norms, report
+    return report
 
 
 def _evidence(target_kind: str, target, run) -> Evidence:
@@ -372,16 +378,6 @@ def _first_success(attempt, values, message: str | None = None):
     raise last
 
 
-def _realize_with_ladder(a, p, m, tol: Tolerances, report: StrongPropertyReport):
-    return _first_success(
-        lambda newton_tol: realize_similar(
-            a, p, m, replace(tol, newton_tol=min(tol.newton_tol, newton_tol)),
-            base_report=report,
-        ),
-        (*_CERT_NEWTON_LADDER, tol.newton_tol),
-    )
-
-
 def certify_spectrally_arbitrary(
     p: SignPattern,
     a,
@@ -402,7 +398,9 @@ def certify_spectrally_arbitrary(
     targets = list(targets)
     if not targets:
         raise InputError("no target spectra: a certificate needs evidence")
-    norms, report = _certify_hypothesis(p, a, tol, require_nilpotent=True)
+    norms = _certify_hypothesis(p, a, tol, require_nilpotent=True)
+    report = _nssp_hypothesis(p, a, tol)
+    solve_tol = replace(tol, newton_tol=min(tol.newton_tol, _CERT_NEWTON_TOL))
     trust = default_trust_radius(a)
     limit = 0.5 * trust
     evidence = []
@@ -422,7 +420,7 @@ def certify_spectrally_arbitrary(
 
         def attempt(k):
             m = nilpotent_nearby(a, target.scaled(1.0 / k), tol=tol)
-            return k, _realize_with_ladder(a, p, m, tol, report)
+            return k, realize_similar(a, p, m, solve_tol, base_report=report)
 
         def run():
             # k is a power of two, so the scaled realization keeps its signs
@@ -444,7 +442,6 @@ def certify_spectrally_arbitrary(
         hypothesis={"nilpotency": norms, "scaling": "powers of two"},
         nssp_report=report,
         evidence=tuple(evidence),
-        complete=all(e.ok for e in evidence),
     )
 
 
@@ -464,7 +461,7 @@ def raise_nilpotent_index(
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
-    _certify_hypothesis(p, a, tol, require_nilpotent=True, require_nssp=False)
+    _certify_hypothesis(p, a, tol, require_nilpotent=True)
 
     def has_index_n(m: np.ndarray) -> bool:
         if n == 1:
@@ -475,9 +472,7 @@ def raise_nilpotent_index(
     # already full index: nothing to raise (no nSSP needed on this path)
     if has_index_n(a):
         return a.copy()
-    report = verify_nssp(a, tol, pattern=p)
-    if not report.holds:
-        raise HypothesisFailure("witness matrix does not have the nSSP")
+    report = _nssp_hypothesis(p, a, tol)
 
     schur = real_schur(a)
     t = schur.quasi_triangular.copy()
@@ -545,7 +540,7 @@ def certify_inertially_arbitrary(
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
-    _certify_hypothesis(p, a, tol, require_nilpotent=False, require_nssp=False)
+    _certify_hypothesis(p, a, tol, require_nilpotent=False)
     refined = rin(a, tol)
     n_pos, n_neg, n_z, n_p2 = refined
     if n_pos or n_neg:
@@ -556,9 +551,7 @@ def certify_inertially_arbitrary(
         raise HypothesisFailure(
             f"witness needs at least two zero eigenvalues: rin = {refined}"
         )
-    report = verify_nssp(a, tol, pattern=p)
-    if not report.holds:
-        raise HypothesisFailure("witness matrix does not have the nSSP")
+    report = _nssp_hypothesis(p, a, tol)
 
     # Classify diagonal blocks by eigenvalue content: a 2x2 block whose two
     # eigenvalues both vanish is an unsplit defective zero and contributes
@@ -630,7 +623,6 @@ def certify_inertially_arbitrary(
         hypothesis={"rin": list(refined)},
         nssp_report=report,
         evidence=tuple(evidence),
-        complete=all(e.ok for e in evidence),
     )
 
 

@@ -1059,8 +1059,10 @@ def realize_q(
     With the SSP, :func:`realize_spectrum` moves the split clusters over a
     window of width min(gap / 4, trust radius), gap the smallest distance
     between the eigenvalues of A; with the SMP alone,
-    :func:`realize_multiplicity_list` realizes the refined list.  The
-    achieved q is checked once.
+    :func:`realize_multiplicity_list` realizes the refined list.  q(A), the
+    split and the achieved q are read on A / ||A||_F, where
+    :func:`realize_multiplicity_list` reads its lists, and the achieved q
+    is checked once.
     """
     a = symmetrize(a)
     if a.shape[0] != g.n:
@@ -1073,7 +1075,8 @@ def realize_q(
         report = verify_smp(a, g, tol)
         if not report.holds:
             raise SurjectivityFailure("base matrix has neither the SSP nor the SMP")
-    clusters = cluster_eigenvalues(sym_eig(a, tol).eigenvalues, tol)
+    scale = fro(a) or 1.0  # below spread 1 the clustering threshold is absolute
+    clusters = cluster_eigenvalues(sym_eig(a / scale, tol).eigenvalues, tol)
     q0 = len(clusters)
     if not q0 <= target_q <= g.n:
         raise TargetError(
@@ -1092,12 +1095,12 @@ def realize_q(
     else:
         coarse = OrderedMultiplicityList(entries=tuple(m for _, m in clusters))
         blocks = refinement_blocks(OrderedMultiplicityList(entries=tuple(fine)), coarse)
-        delta = min(0.25 * _min_cluster_gap(clusters), trust)
+        delta = min(0.25 * _min_cluster_gap(clusters), trust / scale)
         res = realize_spectrum(
-            a, g, _split_values(clusters, blocks, delta), tol, trust_radius,
+            a, g, scale * _split_values(clusters, blocks, delta), tol, trust_radius,
             base_report=report,
         )
-    q = len(cluster_eigenvalues(sym_eig(res.matrix, tol).eigenvalues, tol))
+    q = len(cluster_eigenvalues(sym_eig(res.matrix / scale, tol).eigenvalues, tol))
     if q != target_q:
         raise TargetError(
             f"splitting eigenvalues left q at {q}, not {target_q}: the split "

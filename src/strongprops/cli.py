@@ -11,7 +11,8 @@ Subcommands
 Exit codes: 0 success (property holds / realization written / certificate
 complete), 1 property fails or certification hypothesis fails, 2 input or
 parse error, 3 surjectivity failure, 4 no convergence, 5 pattern
-violation, 6 unreachable target, 7 incomplete certificate.
+violation, 6 unreachable target, 7 incomplete certificate, 8 internal
+check failed.  Each error class in ``errors`` carries its exit code.
 
 Reports are human-readable by default; ``--json`` switches to a canonical
 JSON document (schema "strongprops/1") that is byte-identical across runs
@@ -46,17 +47,7 @@ from .bifurcation import (
     realize_spectrum,
     realize_superpattern,
 )
-from .errors import (
-    HypothesisFailure,
-    InputError,
-    InternalCheckError,
-    NoConvergence,
-    ParseError,
-    PatternViolation,
-    StrongPropsError,
-    SurjectivityFailure,
-    TargetError,
-)
+from .errors import InputError, ParseError, StrongPropsError
 from .numerics import Tolerances, sym_eig
 from .patterns import (
     Graph,
@@ -75,11 +66,6 @@ TOLERANCE_ENV_VAR = "STRONGPROPS_TOLERANCES"
 
 EXIT_OK = 0
 EXIT_FAILS = 1
-EXIT_INPUT = 2
-EXIT_SURJECTIVITY = 3
-EXIT_NO_CONVERGENCE = 4
-EXIT_PATTERN_VIOLATION = 5
-EXIT_TARGET = 6
 EXIT_INCOMPLETE = 7
 EXIT_INTERNAL = 8
 
@@ -628,40 +614,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HypothesisFailure as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        for key, value in exc.details.items():
+    except StrongPropsError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        for key, value in getattr(exc, "details", {}).items():
             print(f"  {key}: {value}", file=sys.stderr)
-        return EXIT_FAILS
-    except SurjectivityFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SURJECTIVITY
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.trace:
+        if getattr(exc, "trace", ()):
             print(f"  residual trace: {[f'{r:.3e}' for r in exc.trace]}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except PatternViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PATTERN_VIOLATION
-    except TargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TARGET
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return exc.exit_code
     except np.linalg.LinAlgError as exc:
         print(f"internal error: a linear-algebra routine failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except StrongPropsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

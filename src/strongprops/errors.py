@@ -2,7 +2,14 @@
 
 
 class StrongPropsError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``exit_code`` is the command line's exit status for the error and
+    ``prefix`` starts its standard-error line; subclasses inherit both.
+    """
+
+    exit_code = 2
+    prefix = "error"
 
 
 class InputError(StrongPropsError):
@@ -16,10 +23,15 @@ class ParseError(InputError):
 class InternalCheckError(StrongPropsError):
     """A mandatory internal cross-check failed (e.g. primal/dual disagreement)."""
 
+    exit_code = 8
+    prefix = "internal check failed"
+
 
 class SurjectivityFailure(StrongPropsError):
     """The derivative at zero is not surjective: the base matrix lacks the
     strong property required by the requested realization."""
+
+    exit_code = 3
 
 
 class NoConvergence(StrongPropsError):
@@ -28,6 +40,8 @@ class NoConvergence(StrongPropsError):
     ``best_residual`` holds the smallest residual seen; ``trace`` the
     residual history, so callers can decide whether to shrink the step.
     """
+
+    exit_code = 4
 
     def __init__(self, message, best_residual=None, trace=()):
         super().__init__(message)
@@ -38,6 +52,8 @@ class NoConvergence(StrongPropsError):
 class PatternViolation(StrongPropsError):
     """The realized matrix left the required pattern class (step too large)."""
 
+    exit_code = 5
+
 
 class PropertyNotPreserved(PatternViolation):
     """The realized matrix lost its strong property; treat like a pattern
@@ -46,6 +62,8 @@ class PropertyNotPreserved(PatternViolation):
 
 class TargetError(StrongPropsError):
     """The requested target is not reachable from the base matrix."""
+
+    exit_code = 6
 
 
 class NotARefinement(TargetError):
@@ -62,6 +80,9 @@ class NotASuperpattern(TargetError):
 
 class HypothesisFailure(StrongPropsError):
     """A certification hypothesis (nilpotency, class membership, nSSP) failed."""
+
+    exit_code = 1
+    prefix = "hypothesis failure"
 
     def __init__(self, message, details=None):
         super().__init__(message)

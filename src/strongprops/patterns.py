@@ -507,14 +507,10 @@ def pin(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, int]:
 
 
 def inertia(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) counted by the sign of the real part."""
-    a = as_matrix(a)
-    n = require_square(a)
-    eigs = real_schur(a).eigenvalues()
-    thr = eig_zero_threshold(a, tol)
-    n_pos = int(np.sum(eigs.real > thr))
-    n_neg = int(np.sum(eigs.real < -thr))
-    return n_pos, n_neg, n - n_pos - n_neg
+    """(n_plus, n_minus, n_zero) counted by the sign of the real part: the
+    refined inertia with its zeros and imaginary pairs together."""
+    n_pos, n_neg, n_z, n_p2 = rin(a, tol)
+    return n_pos, n_neg, n_z + n_p2
 
 
 def rin(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, int, int, int]:

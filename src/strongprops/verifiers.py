@@ -520,10 +520,6 @@ def _split(w: np.ndarray, shape):
 
 def _prepare_symmetric(a, g: Graph, tol: Tolerances):
     a = symmetrize(a)
-    if a.shape[0] != g.n:
-        raise InputError(
-            f"matrix size {a.shape[0]} does not match graph on {g.n} vertices"
-        )
     if not matrix_in_graph_class(a, g, tol):
         raise InputError("matrix is not in the class of the given graph")
     scale = fro(a)

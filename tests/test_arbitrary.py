@@ -268,6 +268,21 @@ class TestInertiallyArbitrary:
             certify_inertially_arbitrary(SignPattern.from_matrix(inv), inv)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda p, a: certify_spectrally_arbitrary(p, a, [[0.0, 0.0]]),
+    lambda p, a: raise_nilpotent_index(a, p),
+    lambda p, a: certify_inertially_arbitrary(p, a),
+], ids=["spectral", "index", "inertial"])
+def test_each_entry_point_refuses_a_witness_without_the_nssp(entry):
+    # the 2 x 2 zero matrix passes every other hypothesis (nilpotent of
+    # index 1 < n, rin (0, 0, 2, 0)), and every X of its zero pattern
+    # is a nontrivial nSSP witness
+    z = np.zeros((2, 2))
+    with pytest.raises(HypothesisFailure, match="does not have the nSSP") as info:
+        entry(SignPattern.from_matrix(z), z)
+    assert info.value.details == {"nullspace_dim": 4}
+
+
 def test_inertial_certificate_verifies_its_witness_once(monkeypatch):
     from strongprops import arbitrary, bifurcation
 

@@ -396,6 +396,8 @@ class TestRealizeMultiplicityList:
         res = realize_multiplicity_list(s * adjacency(g), g, target)
         assert tuple(res.achieved) == target
         assert matrix_in_graph_class(res.matrix, g) and res.property_report.holds
+        # realize_q reads q(A), its split and the achieved q there too
+        assert realize_q(s * adjacency(g), g, n).achieved == n
 
 
 class TestRealizeInertia:

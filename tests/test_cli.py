@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strongprops
 from strongprops.cli import EXIT_INTERNAL, EXIT_OK, SCHEMA, main
+from strongprops.errors import NoConvergence
 from strongprops.patterns import SignPattern, format_matrix, parse_matrix_text
 
 
@@ -105,6 +107,49 @@ class TestVerifyCommand:
         assert err.splitlines() == [
             "internal error: a linear-algebra routine failed: SVD did not converge"
         ]
+
+    @pytest.mark.parametrize("name, code, prefix", [
+        ("StrongPropsError", 2, "error"),
+        ("InputError", 2, "error"),
+        ("ParseError", 2, "error"),
+        ("HypothesisFailure", 1, "hypothesis failure"),
+        ("SurjectivityFailure", 3, "error"),
+        ("NoConvergence", 4, "error"),
+        ("PatternViolation", 5, "error"),
+        ("PropertyNotPreserved", 5, "error"),
+        ("TargetError", 6, "error"),
+        ("NotARefinement", 6, "error"),
+        ("UnreachableInertia", 6, "error"),
+        ("NotASuperpattern", 6, "error"),
+        ("InternalCheckError", 8, "internal check failed"),
+    ])
+    def test_each_error_class_exits_with_its_documented_code(
+        self, workdir, capsys, monkeypatch, name, code, prefix
+    ):
+        # the codes of the README's exit-code table
+        error = getattr(strongprops, name)
+
+        def failing(*args, **kwargs):
+            raise error("it failed")
+
+        monkeypatch.setattr("strongprops.cli.verify_property", failing)
+        got, out, err = run(
+            capsys,
+            ["verify", workdir / "c4twist.mat", "--property", "ssp", "--graph", workdir / "c4.graph"],
+        )
+        assert (got, out, err) == (code, "", f"{prefix}: it failed\n")
+
+    def test_error_details_and_trace_follow_the_message(self, workdir, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NoConvergence("stalled", trace=(1.0, 0.5))
+
+        monkeypatch.setattr("strongprops.cli.verify_property", failing)
+        code, _, err = run(
+            capsys,
+            ["verify", workdir / "c4twist.mat", "--property", "ssp", "--graph", workdir / "c4.graph"],
+        )
+        assert code == 4
+        assert err.splitlines() == ["error: stalled", "  residual trace: ['1.000e+00', '5.000e-01']"]
 
     def test_malformed_matrix_exit_two(self, workdir, capsys):
         code, _, err = run(
