@@ -388,10 +388,13 @@ def certify_spectrally_arbitrary(
 
     Hypothesis (checked, failure raises): the witness lies in the class,
     is nilpotent, and has the nSSP.  Each target spectrum is scaled down
-    by the smallest power of two that brings it inside the trust region,
+    by the smallest power of two k that brings it within twice the trust
+    radius (:func:`realize_similar` walks a target beyond the radius),
     planted onto the witness's Schur form, realized in the class, and
     scaled back (positive scaling preserves signs); the evidence records
-    the characteristic-polynomial residual at full scale.
+    the characteristic-polynomial residual at full scale, where
+    coefficient j carries the solve's error times k^j, so the smallest k
+    that solves is the one to use.  A failed solve moves on to 2k.
     """
     a = as_matrix(a, "witness matrix")
     require_square(a, "witness matrix")
@@ -402,7 +405,7 @@ def certify_spectrally_arbitrary(
     report = _nssp_hypothesis(p, a, tol)
     solve_tol = replace(tol, newton_tol=min(tol.newton_tol, _CERT_NEWTON_TOL))
     trust = default_trust_radius(a)
-    limit = 0.5 * trust
+    limit = 2.0 * trust
     evidence = []
     for target in targets:
         if not isinstance(target, ConjInvariantSpectrum):

@@ -777,10 +777,12 @@ def _homotopy(
     :func:`solve_to_target` from ``cur``, vouched for by ``report``; an
     accepted hop that is not the last re-bases ``f`` on the realized matrix.
     ``trust`` halves when a solve raises :class:`NoConvergence` or
-    :class:`PatternViolation`, and when ``progress(new, trust)`` judges that
-    an accepted hop moved too little (the hop is still kept).  The halving
-    past the MAX_TRUST_HALVINGS-th, or a round past hops + MAX_TRUST_HALVINGS,
-    raises :class:`NoConvergence` naming ``what``.  Returns the last accepted
+    :class:`PatternViolation` (when the plan returns the failed target
+    again, the halving is counted without a second solve), and when
+    ``progress(new, trust)`` judges that an accepted hop moved too little
+    (the hop is still kept).  The halving past the MAX_TRUST_HALVINGS-th,
+    or a round past hops + MAX_TRUST_HALVINGS, raises
+    :class:`NoConvergence` naming ``what``.  Returns the last accepted
     hop's result with ``iterations`` and ``residual_trace`` summed over the
     accepted hops, or the base with 0 iterations when the plan ends first.
     """
@@ -793,15 +795,23 @@ def _homotopy(
         if halvings > MAX_TRUST_HALVINGS:
             raise NoConvergence(f"{what} {reason}") from cause
 
+    failed = None  # (target bytes, error) of this round's solve, if it failed
     for _round in range(hops + MAX_TRUST_HALVINGS):
         step = plan(cur, trust)
         if step is None:
             break
         m, last = step
-        try:
-            res = solve_to_target(f, m, tol, recheck=recheck, base_report=report)
-        except (NoConvergence, PatternViolation) as exc:
-            halve(f"failed after {MAX_TRUST_HALVINGS} trust-radius halvings", exc)
+        key = m.tobytes()
+        # the solve is deterministic: a target that has just failed from cur
+        # fails again, so only the halving is counted
+        if failed is None or failed[0] != key:
+            try:
+                res = solve_to_target(f, m, tol, recheck=recheck, base_report=report)
+                failed = None
+            except (NoConvergence, PatternViolation) as exc:
+                failed = (key, exc)
+        if failed is not None:
+            halve(f"failed after {MAX_TRUST_HALVINGS} trust-radius halvings", failed[1])
             continue
         iterations += res.iterations
         trace.extend(res.residual_trace)

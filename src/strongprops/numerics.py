@@ -2,12 +2,13 @@
 
 Validated wrappers around LAPACK (through numpy/scipy): symmetric
 eigendecomposition, real Schur form, SVD-based rank/nullspace, and
-minimum-norm least squares by a complete orthogonal factorization built on
-QR with column pivoting (one xGELSY call).  Every other module funnels its
-numerical decisions through the thresholds collected in
-:class:`Tolerances`, so a single object controls what counts as "zero"
-throughout a computation: ``rank_tol`` is both the singular-value cutoff
-of the rank decisions and the condition cutoff of the least-squares step.
+minimum-norm least squares (a QR of A^T for well-conditioned wide systems,
+otherwise xGELSY's complete orthogonal factorization built on QR with
+column pivoting).  Every other module funnels its numerical decisions
+through the thresholds collected in :class:`Tolerances`, so a single
+object controls what counts as "zero" throughout a computation:
+``rank_tol`` is both the singular-value cutoff of the rank decisions and
+the condition cutoff of the least-squares step.
 
 Characteristic polynomials are computed from Schur/eigenvalue data (stable
 for the certification pipelines), with a Faddeev-LeVerrier recursion kept
@@ -36,8 +37,11 @@ class Tolerances:
         Relative singular-value threshold: sigma <= rank_tol * sigma_max
         counts as zero.  1e-8 separates genuine nullspace from roundoff
         for dense problems up to n ~ 50.  It is also the cutoff of
-        :func:`lstsq_min_norm`, which estimates the condition of the
-        pivoted triangular factor instead of computing singular values.
+        :func:`lstsq_min_norm`, which estimates condition numbers instead
+        of computing singular values: a wide system is solved from the QR
+        of its transpose when the triangular factor's reciprocal condition
+        estimate exceeds rank_tol, and otherwise xGELSY cuts its pivoted
+        triangular factor where that estimate would fall below rank_tol.
     cluster_tol
         Relative eigenvalue-gap threshold used to merge eigenvalues into
         multiplicity clusters.
@@ -282,16 +286,32 @@ def nullspace(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     return svd_nullspace(a, tol)
 
 
+_GEQRF, _TRCON, _TRTRS, _ORMQR = scipy.linalg.lapack.get_lapack_funcs(
+    ("geqrf", "trcon", "trtrs", "ormqr"), dtype=np.float64
+)
+#: Workspace of xGEQRF per column of A^T: room for blocks of up to 64
+#: reflectors.  The wrapper's default (3 per column) forces unblocked
+#: Householder steps, 4x slower at 1,081 x 1,128; below LAPACK's
+#: crossover (128 columns by default) both give the same bits.
+_GEQRF_BLOCK = 64
+
+
 def lstsq_min_norm(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Minimum-norm least-squares solution of A x ~ b (pseudo-inverse).
 
-    One LAPACK xGELSY call: QR with column pivoting, truncated at the
-    leading triangular block whose estimated condition stays below
-    1 / rank_tol, then a complete orthogonal factorization of that block
-    gives the minimum-norm solution (Golub and Van Loan, Matrix
-    Computations, 4th ed., sec. 5.5).  It agrees with the SVD solution
-    whenever the cutoff separates the singular values as clearly as it
-    does for the Gauss-Newton Jacobians, at about the cost of one QR.
+    A wide A (0 < rows <= columns) of full row rank, as a chart's step
+    matrix is where its base has the strong property, is solved from an
+    unpivoted Householder QR of its transpose, A^T = Q R (xGEQRF): x = Q y
+    with R^T y = b (xTRTRS, then xORMQR) is A^T (A A^T)^-1 b, the
+    minimum-norm solution (Golub and Van Loan, Matrix Computations, 4th
+    ed., sec. 5.6).  That route is taken only when xTRCON's estimate of
+    R's reciprocal condition (1-norm) exceeds rank_tol.  Every other
+    system, tall, rank-deficient or worse conditioned, takes one xGELSY
+    call: QR with column pivoting, truncated at the leading triangular
+    block whose estimated condition stays below 1 / rank_tol, then a
+    complete orthogonal factorization of that block (sec. 5.5).  Both
+    agree with the SVD solution whenever the cutoff separates the singular
+    values as clearly as it does for the Gauss-Newton steps.
     """
     a = as_matrix(a, "coefficient matrix")
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -301,6 +321,17 @@ def lstsq_min_norm(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         )
     if not np.all(np.isfinite(b)):
         raise InputError("right-hand side contains NaN or Inf entries")
+    rows, cols = a.shape
+    if 0 < rows <= cols:
+        qr, tau, _, _ = _GEQRF(a.T, lwork=_GEQRF_BLOCK * rows)
+        rcond, _ = _TRCON(qr[:rows])
+        if rcond > tol.rank_tol:
+            # y in the first rows of a zero-padded column, then x = Q [y; 0]
+            y = np.zeros((cols, 1))
+            y[:rows, 0] = b
+            y, _ = _TRTRS(qr, y, trans=1, overwrite_b=1)
+            x, _, _ = _ORMQR("L", "N", qr, tau, y, 1, overwrite_c=1)
+            return x[:, 0]
     x, *_ = scipy.linalg.lstsq(
         a, b, cond=tol.rank_tol, lapack_driver="gelsy", check_finite=False
     )

@@ -3,6 +3,7 @@ import pytest
 from itertools import combinations
 
 from strongprops.arbitrary import (
+    CHAR_POLY_RESIDUAL_TOL,
     ConjInvariantSpectrum,
     _allocate_perturbations,
     certify_inertially_arbitrary,
@@ -180,6 +181,45 @@ class TestSpectrallyArbitrary:
         j2 = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(HypothesisFailure):
             certify_spectrally_arbitrary(SignPattern.from_matrix(j2), j2, [[0.0] * 2])
+
+    @pytest.mark.parametrize("witness,target", [
+        # the pipelines deck's certify_spectral/n6 ops, seed/op: 66/73, 49/90
+        # and 67/90 failed with the target scaled to half the trust radius,
+        # 70/2 and 81/54 with that and the QR step
+        pytest.param(
+            [[-1, 4, -1, 2, 0, 1], [1, -2, -1, -2, 0, -1], [1, -2, -1, -2, 0, -1],
+             [-2, 5, 1, 4, 2, 2], [-2, 0, -2, 0, 0, 0], [4, 0, 0, -2, 0, 0]],
+            ((-0.768, 0.154, 0.209, 1.751), ((-0.912, 3.094),)), id="seed66-op73",
+        ),
+        pytest.param(
+            [[0, 2, 0, 0, 2, 0], [0, -2, 1, 0, -1, 1], [0, -2, 1, 0, -1, 1],
+             [0, 0, -2, 0, -2, 0], [2, 2, -1, 2, 1, -1], [2, -2, 1, 0, -1, 0]],
+            ((), ((-1.492, 0.796), (-0.622, 1.595), (1.071, 1.852))), id="seed49-op90",
+        ),
+        pytest.param(
+            [[0, -1, 1, 0, 1, 0], [0, -2, 2, 0, 2, -2], [1, 0, 0, 1, 0, -2],
+             [-2, 0, 0, 0, 0, 0], [-1, -2, 2, -1, 2, 0], [-2, -2, 2, -3, 4, 0]],
+            ((-0.774, -0.477, -0.165, 0.805), ((-0.11, 3.16),)), id="seed67-op90",
+        ),
+        pytest.param(
+            [[0, 0, 1, -2, -1, -2], [-2, 0, -1, 0, -1, -1], [0, -2, 1, 0, -1, 0],
+             [1, 1, -1, 1, 2, 1], [1, -1, 1, 1, 0, 2], [2, 0, 2, 0, 0, -2]],
+            ((), ((-0.274, 0.26), (1.668, 1.028), (1.716, 0.178))), id="seed70-op2",
+        ),
+        pytest.param(
+            [[2, 1, 1, -1, 1, -1], [-1, 2, -1, 2, -1, -1], [-3, 2, -1, 2, -1, -1],
+             [3, -1, 2, -3, 2, 0], [4, -2, 1, -2, 1, 0], [4, -1, 1, -3, 1, -1]],
+            ((), ((-1.698, 2.872), (0.198, 1.767), (-1.582, 1.896))), id="seed81-op54",
+        ),
+    ])
+    def test_float_floor_witnesses_complete(self, witness, target):
+        w = np.array(witness, dtype=float)
+        p = SignPattern.from_matrix(w)
+        reals, pairs = target
+        cert = certify_spectrally_arbitrary(p, w, [ConjInvariantSpectrum(reals, pairs)])
+        (e,) = cert.evidence
+        assert cert.complete and e.residual <= CHAR_POLY_RESIDUAL_TOL
+        assert matrix_in_sign_class(e.matrix, p)
 
 
 class TestRaiseNilpotentIndex:

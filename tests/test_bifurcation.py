@@ -5,7 +5,7 @@ import signal
 import numpy as np
 import pytest
 
-from strongprops import bifurcation, patterns
+from strongprops import bifurcation, numerics, patterns
 from strongprops.bifurcation import (
     realize_inertia,
     realize_multiplicity_list,
@@ -803,6 +803,40 @@ class TestSurjectivityFromReports:
         p_super = SignPattern.from_rows([[1, 1], [1, -1]])
         res = realize_superpattern(a, SignPattern.from_matrix(a), p_super)
         assert res.iterations > 0 and res.property_report.holds
+
+
+_SIMILAR_BASE = np.array([[1.0, 1.0], [1.0, 0.0]])
+_REALIZE_EVERY_KIND = {
+    "spectrum": lambda t, g: realize_spectrum(t, g, [-2.0, -0.1, 0.1, 2.0], trust_radius=0.5),
+    "multiplicity_list": lambda t, g: realize_multiplicity_list(t, g, [1, 1, 2]),
+    "q": lambda t, g: realize_q(t, g, 4),
+    # C4's adjacency has the SAP and a double zero, and C4 has non-edges
+    "inertia": lambda t, g: realize_inertia(adjacency(g), g, (2, 1)),
+    "rank": lambda t, g: realize_rank(adjacency(g), g, 4),
+    "similar": lambda t, g: realize_similar(
+        _SIMILAR_BASE, SignPattern.from_matrix(_SIMILAR_BASE),
+        _SIMILAR_BASE + 0.01 * np.eye(2), trust_radius=0.01,
+    ),
+    "superpattern": lambda t, g: realize_superpattern(
+        _SIMILAR_BASE, SignPattern.from_matrix(_SIMILAR_BASE),
+        SignPattern.from_rows([[1, 1], [1, -1]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REALIZE_EVERY_KIND))
+def test_every_step_is_taken_from_a_qr(monkeypatch, twisted_c4, c4, kind):
+    """The step matrices have full row rank, so every Gauss-Newton step of
+    every realizer comes from the QR of the step matrix's transpose, and
+    none reaches the xGELSY fallback."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gauss-Newton step fell back to xGELSY")
+
+    monkeypatch.setattr(numerics.scipy.linalg, "lstsq", forbidden)
+    steps = _counted(monkeypatch, "lstsq_min_norm")
+    res = _REALIZE_EVERY_KIND[kind](twisted_c4, c4)
+    assert steps and res.iterations > 0 and res.property_report.holds
 
 
 def _counted(monkeypatch, name):

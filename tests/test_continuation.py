@@ -75,6 +75,19 @@ def test_each_realizer_gives_up_after_the_halvings(
     assert len(calls) == MAX_TRUST_HALVINGS + 1
 
 
+def test_a_failed_target_is_not_solved_again(monkeypatch, twisted_c4, c4):
+    # the plan returns one target whatever the radius, as realize_spectrum's
+    # does at or above the remaining distance
+    calls = _failing(monkeypatch, bifurcation, "solve_to_target")
+    target = 1.01 * twisted_c4
+    with pytest.raises(NoConvergence, match="trust-radius halvings"):
+        bifurcation._homotopy(
+            ssp_map(twisted_c4, c4), None, 1.0, lambda cur, trust: (target.copy(), True),
+            DEFAULT_TOL, "test walk",
+        )
+    assert len(calls) == 1
+
+
 def test_refused_progress_is_bounded(twisted_c4, c4):
     refusals = []
 

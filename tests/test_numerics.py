@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from strongprops.errors import InputError, InternalCheckError
 from strongprops.numerics import (
@@ -246,7 +247,42 @@ def _lstsq_corpus():
     return [pytest.param(a, rng.normal(size=a.shape[0]), id=name) for name, a in cases]
 
 
-@pytest.mark.parametrize("a,b", _lstsq_corpus())
+def _wide_systems():
+    """Wide systems by id, with whether xGELSY must solve them: random
+    ones from 1 x 1 to the chart's shapes, which the QR of A^T solves, and
+    three at or past its condition cutoff (exactly rank-deficient,
+    kappa = 1e10 and kappa ~ 1e5)."""
+    rng = np.random.default_rng(9)
+    cases = {f"wide-{m}x{n}": (rng.normal(size=(m, n)), False)
+             for m, n in ((1, 1), (1, 4), (6, 6), (13, 28), (54, 144))}
+    m, n = 20, 36
+    repeated = rng.normal(size=(m, n))
+    repeated[-1] = repeated[0]
+    # rows graded from 1 to 1e-3 plus a direction at 1e-10 * sigma_max; it is
+    # decoupled from the rest, so xGELSY's pivoted cut drops exactly the
+    # direction the SVD's cut drops (a coupled one moves the two cuts' answers
+    # apart by sigma_{r+1} / sigma_r, with any solver)
+    graded = np.zeros((m, n))
+    graded[:-1, :-2] = rng.normal(size=(m - 1, n - 2)) * np.logspace(0, -3, m - 1)[:, None]
+    tail = rng.normal(size=2)
+    graded[-1, -2:] = 1e-10 * np.linalg.norm(graded, 2) * tail / np.linalg.norm(tail)
+    graded = graded[rng.permutation(m)][:, rng.permutation(n)]
+    # rows graded from 1 to 1e-5: the QR of A^T is accurate whatever the grading
+    kappa5 = rng.normal(size=(m, n)) * np.logspace(0, -5, m)[:, None]
+    cases.update({
+        "wide-repeated-row": (repeated, True),
+        "wide-graded-k1e10": (graded, True),
+        "wide-k1e5": (kappa5, False),
+    })
+    return {name: (a, rng.normal(size=a.shape[0]), gelsy) for name, (a, gelsy) in cases.items()}
+
+
+_WIDE = _wide_systems()
+
+
+@pytest.mark.parametrize(
+    "a,b", _lstsq_corpus() + [pytest.param(a, b, id=name) for name, (a, b, _) in _WIDE.items()]
+)
 def test_lstsq_matches_pseudo_inverse(a, b):
     x = lstsq_min_norm(a, b)
     want = np.linalg.pinv(a, rcond=1e-8) @ b
@@ -254,6 +290,21 @@ def test_lstsq_matches_pseudo_inverse(a, b):
     # minimum norm: no component along the nullspace of A
     _, null = nullspace(a)
     assert np.linalg.norm(null.T @ x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE))
+def test_lstsq_calls_gelsy_only_past_the_condition_cutoff(monkeypatch, name):
+    a, b, gelsy_expected = _WIDE[name]
+    calls = []
+    gelsy = scipy.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("lapack_driver"))
+        return gelsy(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lstsq", counted)
+    lstsq_min_norm(a, b)
+    assert calls == (["gelsy"] if gelsy_expected else [])
 
 
 class TestCharPoly:
