@@ -50,6 +50,7 @@ from .errors import (
     NoConvergence,
     NotARefinement,
     NotASuperpattern,
+    NotInClass,
     ParseError,
     PatternViolation,
     PropertyNotPreserved,

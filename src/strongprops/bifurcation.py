@@ -61,6 +61,7 @@ from .errors import (
     NoConvergence,
     NotARefinement,
     NotASuperpattern,
+    NotInClass,
     PatternViolation,
     PropertyNotPreserved,
     SurjectivityFailure,
@@ -308,17 +309,14 @@ class PerturbationMap:
     def check_pattern(self):
         return self.super_pattern if self.kind == "nssp_superpattern" else self.pattern
 
-    def in_class(self, a: np.ndarray, tol: Tolerances) -> bool:
-        if self.kind in _SYMMETRIC_KINDS:
-            return matrix_in_graph_class(a, self.graph, tol)
-        return matrix_in_sign_class(a, self.check_pattern(), tol)
-
     def required_nonzero(self) -> list[tuple[int, int]]:
         if self.kind in _SYMMETRIC_KINDS:
             return [(i, j) for i, j in self.graph.edges]
         return self.check_pattern().nonzero_cells()
 
     def recheck(self, a: np.ndarray, tol: Tolerances) -> StrongPropertyReport:
+        """Report of the property at ``a`` in the class it must lie in; the
+        verifier's class check raises :class:`NotInClass` outside it."""
         if self.kind == "ssp":
             return verify_ssp(a, self.graph, tol)
         if self.kind == "smp":
@@ -330,7 +328,7 @@ class PerturbationMap:
     def rebased(self, base: np.ndarray) -> PerturbationMap:
         """The same map at a new base, sharing whichever bases are built.
         No class check: the caller passes a matrix that a solve's
-        :meth:`in_class` has just accepted (a realized matrix, which
+        :meth:`recheck` has just accepted (a realized matrix, which
         :meth:`LocalChart.realized` made exactly symmetric for the symmetric
         kinds)."""
         moved = copy.copy(self)
@@ -636,7 +634,6 @@ def solve_to_target(
     f: PerturbationMap,
     m_target,
     tol: Tolerances = DEFAULT_TOL,
-    recheck: bool = True,
     base_report: StrongPropertyReport | None = None,
 ) -> RealizationResult:
     """Solve F(parameters) = M_target by minimum-norm Gauss-Newton steps in
@@ -655,8 +652,10 @@ def solve_to_target(
     matrix A' to the matrix N that is exactly similar (congruent for the
     SAP) to M_target.  The realizers' driver (:func:`_homotopy`) keeps
     ||M_target - A|| within a trust radius, retrying with a shorter step on
-    :class:`NoConvergence` or :class:`PatternViolation`.  On success the realized matrix is
-    pattern-checked and its strong property re-verified.
+    :class:`NoConvergence` or :class:`PatternViolation`.  On success the
+    realized matrix is re-verified (:meth:`PerturbationMap.recheck`), and
+    that verification's class check is the solve's: a matrix outside the
+    class raises :class:`PatternViolation`.
     """
     m = as_matrix(m_target, "target matrix")
     if m.shape != f.base.shape:
@@ -671,17 +670,15 @@ def solve_to_target(
         a_prime, iterations, trace = f.base.copy(), 0, [distance]
     else:
         a_prime, iterations, trace = _chart_solve(LocalChart(f, m, tol), tol)
-    if not f.in_class(a_prime, tol):
-        raise PatternViolation(
-            "realized matrix left the pattern class; the target step was too large"
-        )
-    report = None
-    # the superpattern map's result is verified in the superpattern, its
-    # base in the base pattern
-    if recheck and at_base and f.kind != "nssp_superpattern":
+    if at_base and f.kind != "nssp_superpattern":
         report = base_report
-    elif recheck:
-        report = f.recheck(a_prime, tol)
+    else:
+        try:
+            report = f.recheck(a_prime, tol)
+        except NotInClass as exc:
+            raise PatternViolation(
+                "realized matrix left the pattern class; the target step was too large"
+            ) from exc
         if not report.holds:
             raise PropertyNotPreserved(
                 "realized matrix lost the strong property; the target step was "
@@ -765,7 +762,6 @@ def _homotopy(
     what: str,
     progress=None,
     hops: int = MAX_HOMOTOPY_HOPS,
-    recheck: bool = True,
 ) -> RealizationResult:
     """Continuation from ``f.base`` through the hops that ``plan`` lays out,
     with the step size controlled by halving (Allgower and Georg, Numerical
@@ -806,7 +802,7 @@ def _homotopy(
         # fails again, so only the halving is counted
         if failed is None or failed[0] != key:
             try:
-                res = solve_to_target(f, m, tol, recheck=recheck, base_report=report)
+                res = solve_to_target(f, m, tol, base_report=report)
                 failed = None
             except (NoConvergence, PatternViolation) as exc:
                 failed = (key, exc)
@@ -863,8 +859,11 @@ def realize_spectrum(
 
     def plan(cur, trust):
         dec = sym_eig(cur, tol)
-        delta = target - dec.eigenvalues
-        dist = float(np.linalg.norm(delta))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            delta = target - dec.eigenvalues
+            dist = float(np.linalg.norm(delta))
+        if not math.isfinite(dist):
+            raise InputError("distance to the target spectrum overflows")
         last = dist <= trust
         waypoint = target if last else dec.eigenvalues + (trust / dist) * delta
         return _with_spectrum(dec.eigenvectors, waypoint), last
@@ -919,8 +918,10 @@ def realize_multiplicity_list(
     the latter) and scaled back afterwards; scaling is an exact
     similarity-respecting transformation.  ``trust_radius`` is in A's
     units, as for :func:`realize_spectrum`, and is rescaled with the base.
-    The split is one hop whose width halves until it is solved.  The
-    achieved list is post-checked against the target rather than assumed.
+    The split is one hop whose width halves until it is solved with the
+    SMP, which the hop verifies at unit norm (the report returned: the SMP
+    does not change under scaling).  The achieved list is post-checked
+    against the target rather than assumed.
     """
     a = symmetrize(a)
     if a.shape[0] != g.n:
@@ -950,11 +951,12 @@ def realize_multiplicity_list(
     def plan(_cur, delta):
         return _with_spectrum(dec.eigenvectors, _split_values(clusters, blocks, delta)), True
 
-    # the SMP of the scaled base is the SMP of A; the realized list is read
-    # at unit norm, as the base's, and the SMP once, after scaling back
+    # the SMP of the scaled base is the SMP of A, and the hop's report at
+    # unit norm that of the scaled-back result; the realized list is read at
+    # unit norm, as the base's
     res = _homotopy(
         smp_map(w, g, tol), base_report, min(0.25 * _min_cluster_gap(clusters), trust),
-        plan, tol, "multiplicity split", recheck=False,
+        plan, tol, "multiplicity split",
     )
     achieved = ordered_multiplicity_list(sym_eig(res.matrix, tol).eigenvalues, tol)
     if tuple(achieved) != tuple(target):
@@ -963,15 +965,9 @@ def realize_multiplicity_list(
             f"target {tuple(target)}"
         )
     a_prime = scale * res.matrix
-    report = verify_smp(a_prime, g, tol)
-    if not report.holds:
-        raise PropertyNotPreserved(
-            "realized matrix lost the SMP; the split was too large"
-        )
     return replace(
         res, matrix=a_prime, target_kind="multiplicity_list", target=tuple(target),
-        achieved=tuple(achieved), property_report=report,
-        marginal_entries=tuple(marginal_cells(a_prime, g.edges)),
+        achieved=tuple(achieved), marginal_entries=tuple(marginal_cells(a_prime, g.edges)),
     )
 
 

@@ -16,6 +16,11 @@ class InputError(StrongPropsError):
     """Invalid input: bad dimensions, non-finite entries, class mismatch."""
 
 
+class NotInClass(InputError):
+    """A matrix handed to a verifier lies outside the class of its graph or
+    sign pattern; a solve turns it into :class:`PatternViolation`."""
+
+
 class ParseError(InputError):
     """Malformed input file; the message carries the source name and line number."""
 

@@ -166,21 +166,26 @@ class RealSchurForm:
         disc = ((a11 - a22) / 2.0) ** 2 + a12 * a21
         return mean, disc
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues read off the diagonal blocks (complex array)."""
+    def roots(self):
+        """The eigenvalues read off the diagonal blocks, in order: ("r", lam)
+        for each real one and ("c", a, b) for each conjugate pair a +- b*i."""
         t = self.quasi_triangular
-        out = []
         for start, size in self.diagonal_blocks():
             if size == 1:
-                out.append(complex(t[start, start]))
+                yield "r", t[start, start]
+                continue
+            mean, disc = self.block_mean_disc(start)
+            if disc < 0.0:
+                yield "c", mean, np.sqrt(-disc)
             else:
-                mean, disc = self.block_mean_disc(start)
-                if disc < 0.0:
-                    b = np.sqrt(-disc)
-                    out.extend([complex(mean, b), complex(mean, -b)])
-                else:
-                    s = np.sqrt(disc)
-                    out.extend([complex(mean + s), complex(mean - s)])
+                s = np.sqrt(disc)
+                yield from (("r", mean + s), ("r", mean - s))
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues read off the diagonal blocks (complex array)."""
+        out = []
+        for kind, a, *b in self.roots():
+            out.extend([complex(a, b[0]), complex(a, -b[0])] if kind == "c" else [complex(a)])
         return np.asarray(out, dtype=complex)
 
 
@@ -342,8 +347,8 @@ def _poly_from_real_blocks(blocks) -> np.ndarray:
     """Monic real polynomial with the given roots.
 
     ``blocks`` yields ("r", lam) for a real root and ("c", a, b) for a
-    conjugate pair a +- b*i.  Coefficients returned in ascending order,
-    last entry 1.
+    conjugate pair a +- b*i, as :meth:`RealSchurForm.roots` does.
+    Coefficients returned in ascending order, last entry 1.
     """
     coeffs = np.array([1.0])  # descending while building
     for block in blocks:
@@ -370,20 +375,7 @@ def char_poly(a) -> np.ndarray:
     Computed from the real Schur diagonal blocks (never by determinant
     expansion), so coefficients are exactly real.
     """
-    schur = real_schur(a)
-    t = schur.quasi_triangular
-    blocks = []
-    for start, size in schur.diagonal_blocks():
-        if size == 1:
-            blocks.append(("r", t[start, start]))
-        else:
-            mean, disc = schur.block_mean_disc(start)
-            if disc < 0.0:
-                blocks.append(("c", mean, np.sqrt(-disc)))
-            else:
-                s = np.sqrt(disc)
-                blocks.extend([("r", mean + s), ("r", mean - s)])
-    return _poly_from_real_blocks(blocks)
+    return _poly_from_real_blocks(real_schur(a).roots())
 
 
 def char_poly_faddeev(a) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -109,7 +109,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrsv
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, NotInClass
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -303,104 +303,94 @@ def _transposed(blocks):
 _SMALL_PRIMAL = {"ssp": "commutant", "smp": "commutant", "sap": "kernel", "nssp": "centralizer"}
 
 
-def _dense_dual(assemble, blocks, scale: float, tol: Tolerances):
+def _dense_dual(entries, shape, blocks, tol: Tolerances, scale: float, trailing):
     """The dual route that always decides: a values-only SVD of the dense
-    dual ``assemble()``, block by block when ``blocks`` splits it (see
-    :func:`_split`).  Gives (rank, sigma_max, sigma_m) in the units of the
-    Kronecker primal, sigma_m the m-th singular value (0 when the dual has
-    fewer)."""
+    dual, its ``entries`` (:func:`_dense`) and then ``trailing`` columns,
+    block by block when ``blocks`` splits it (see :func:`_split`).  Gives
+    (rank, sigma_max, sigma_m) in the units of the Kronecker primal, sigma_m
+    the m-th singular value (0 when the dual has fewer).  The dense dual
+    lives only in this call, so no primal is factored while it is held."""
+    dual = _dense(entries, shape)
+    if trailing is not None:
+        dual = np.hstack([dual, trailing])
+    dual_rank, values = rank(dual, tol, blocks, values=True)
+    values = values / scale
+    m = dual.shape[0]
+    margin = float(values[m - 1]) if 0 < m <= values.size else 0.0
+    return dual_rank, float(values.max(initial=0.0)), margin
 
-    def route():
-        dual = assemble()
-        dual_rank, values = rank(dual, tol, blocks, values=True)
-        values = values / scale
-        m = dual.shape[0]
-        margin = float(values[m - 1]) if 0 < m <= values.size else 0.0
-        return dual_rank, float(values.max(initial=0.0)), margin
 
-    return route
-
-
-def _gram_dual(assemble, scale: float):
+def _gram_dual(sparse, trailing, scale: float):
     """The dual route that decides only "full row rank", from a Cholesky of
-    the m x m Gram matrix G = D D^T.  ``assemble()`` gives D as a sparse
-    matrix and its dense trailing columns T (the SMP's trace columns, or
-    None), so G is one sparse product plus T T^T.  sigma_m^2 is read by
-    Lanczos on G^-1 through the factor, then sigma_max^2 by Lanczos on G,
-    both from a fixed-seed start vector.  It gives (m, sigma_max, sigma_m)
-    in the units of the Kronecker primal when the Cholesky succeeds, both
-    runs converge and sigma_m >= GRAM_GATE * sigma_max, else None; bounds
-    from the diagonals of G and of the factor give None earlier, before the
-    first run on a failing dual and before the second on most duals the
-    gate rejects.  The margin is ||D^T u|| for the unit Lanczos vector u of
+    the m x m Gram matrix G = D D^T of the dual D = [S T], S ``sparse`` and
+    T its dense ``trailing`` columns (the SMP's trace columns, or None), so
+    G is one sparse product plus T T^T.  sigma_m^2 is read by Lanczos on
+    G^-1 through the factor, then sigma_max^2 by Lanczos on G, both from a
+    fixed-seed start vector.  It gives (m, sigma_max, sigma_m) in the units
+    of the Kronecker primal when the Cholesky succeeds, both runs converge
+    and sigma_m >= GRAM_GATE * sigma_max, else None; bounds from the
+    diagonals of G and of the factor give None earlier, before the first
+    run on a failing dual and before the second on most duals the gate
+    rejects.  The margin is ||D^T u|| for the unit Lanczos vector u of
     sigma_m, which reads sigma_m from D and not from G, so it keeps the
     dense SVD's relative accuracy of about eps * sigma_max / sigma_m."""
+    # imported here: the module costs time and memory that only large
+    # verifications repay
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    def route():
-        # imported here: the module costs time and memory that only large
-        # verifications repay
-        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-        sparse, dense = assemble()
-        gram = (sparse @ sparse.T).toarray()
-        if dense is not None:
-            gram += dense @ dense.T
-        try:
-            upper = scipy.linalg.cholesky(gram, check_finite=False)  # G = U^T U
-        except np.linalg.LinAlgError:  # G is not numerically positive definite
+    gram = (sparse @ sparse.T).toarray()
+    if trailing is not None:
+        gram += trailing @ trailing.T
+    try:
+        upper = scipy.linalg.cholesky(gram, check_finite=False)  # G = U^T U
+    except np.linalg.LinAlgError:  # G is not numerically positive definite
+        return None
+    # sigma_max^2 >= max G_kk, and sigma_m^2 = lambda_min(G) <= min U_kk^2:
+    # this and the test between the Lanczos runs reject only what the
+    # gate would, the first without Lanczos (a failing dual)
+    peak = np.diagonal(gram).max()
+    if np.diagonal(upper).min() ** 2 < GRAM_GATE**2 * peak:
+        return None
+    # a seeded start: the same input gives the same margin in every process
+    start = np.random.default_rng(0).standard_normal(len(gram))
+    # 8 Lanczos vectors took the fewest products on the verify decks
+    options = dict(k=1, v0=start, ncv=8, tol=1e-10)
+    # G^-1 x by two triangular solves (xTRSV: xPOTRS on one vector is slower)
+    inverse = LinearOperator(
+        gram.shape, lambda x: dtrsv(upper, dtrsv(upper, x, trans=1)), dtype=float)
+    try:
+        bottom, u = eigsh(inverse, **options)  # 1 / sigma_m^2
+        if not bottom[0] * GRAM_GATE**2 * peak <= 1.0:
             return None
-        # sigma_max^2 >= max G_kk, and sigma_m^2 = lambda_min(G) <= min U_kk^2:
-        # this and the test between the Lanczos runs reject only what the
-        # gate would, the first without Lanczos (a failing dual)
-        peak = np.diagonal(gram).max()
-        if np.diagonal(upper).min() ** 2 < GRAM_GATE**2 * peak:
-            return None
-        # a seeded start: the same input gives the same margin in every process
-        start = np.random.default_rng(0).standard_normal(len(gram))
-        # 8 Lanczos vectors took the fewest products on the verify decks
-        options = dict(k=1, v0=start, ncv=8, tol=1e-10)
-        # G^-1 x by two triangular solves (xTRSV: xPOTRS on one vector is slower)
-        inverse = LinearOperator(
-            gram.shape, lambda x: dtrsv(upper, dtrsv(upper, x, trans=1)), dtype=float)
-        try:
-            bottom, u = eigsh(inverse, **options)  # 1 / sigma_m^2
-            if not bottom[0] * GRAM_GATE**2 * peak <= 1.0:
-                return None
-            top = eigsh(gram, return_eigenvectors=False, **options)[0]
-        except ArpackError:  # no convergence, or ARPACK refused the problem
-            return None
-        sigma_max = math.sqrt(top)
-        if not bottom[0] * (GRAM_GATE * sigma_max) ** 2 <= 1.0:  # sigma_m^2 = 1 / bottom
-            return None
-        u = u[:, 0]
-        margin = float(np.linalg.norm(sparse.T @ u))
-        if dense is not None:
-            margin = math.hypot(margin, float(np.linalg.norm(dense.T @ u)))
-        return len(gram), sigma_max / scale, margin / scale
-
-    return route
+        top = eigsh(gram, return_eigenvectors=False, **options)[0]
+    except ArpackError:  # no convergence, or ARPACK refused the problem
+        return None
+    sigma_max = math.sqrt(top)
+    if not bottom[0] * (GRAM_GATE * sigma_max) ** 2 <= 1.0:  # sigma_m^2 = 1 / bottom
+        return None
+    u = u[:, 0]
+    margin = float(np.linalg.norm(sparse.T @ u))
+    if trailing is not None:
+        margin = math.hypot(margin, float(np.linalg.norm(trailing.T @ u)))
+    return len(gram), sigma_max / scale, margin / scale
 
 
-def _dual_routes(entries, shape, blocks, tol: Tolerances, scale: float = 1.0, trailing=None):
-    """The ordered dual routes of one verification, as (name, route) pairs,
-    over the ``entries`` (:func:`_kronecker_entries`) of a dual of ``shape``
-    and its dense ``trailing`` columns (the SMP's trace columns), if any: the
-    Gram route (:func:`_gram_dual`, on their CSR form) for whole duals of two
-    rows or more (Lanczos needs two) whose rows * cols * min(rows, cols)
-    reaches GRAM_MIN_WORK, then the dense SVD (:func:`_dense_dual`, on
-    :func:`_dense`), which always decides.  The dual's singular values are
-    the Kronecker primal's times ``scale``."""
-
-    def dense():
-        dual = _dense(entries, shape)
-        return dual if trailing is None else np.hstack([dual, trailing])
-
-    routes = (("dense", _dense_dual(dense, blocks, scale, tol)),)
+def _dual_decisions(entries, shape, blocks, tol: Tolerances, scale: float = 1.0, trailing=None):
+    """The decisions of the dual routes of one verification, in order, as
+    (route name, rank, sigma_max, sigma_m), over the ``entries``
+    (:func:`_kronecker_entries`) of a dual of ``shape`` and its dense
+    ``trailing`` columns (the SMP's trace columns), if any: the Gram route
+    (:func:`_gram_dual`, on their CSR form), when it decides, for whole duals
+    of two rows or more (Lanczos needs two) whose rows * cols * min(rows,
+    cols) reaches GRAM_MIN_WORK, then the dense SVD (:func:`_dense_dual`),
+    which always decides.  The dual's singular values are the Kronecker
+    primal's times ``scale``."""
     cols = shape[1] if trailing is None else shape[1] + trailing.shape[1]
     if blocks is None and shape[0] > 1 and _svd_work(shape[0], cols) >= GRAM_MIN_WORK:
-        gram = _gram_dual(lambda: (_sparse(entries, shape), trailing), scale)
-        routes = (("Gram", gram),) + routes
-    return routes
+        decided = _gram_dual(_sparse(entries, shape), trailing, scale)
+        if decided is not None:
+            yield ("Gram", *decided)
+    yield ("dense", *_dense_dual(entries, shape, blocks, tol, scale, trailing))
 
 
 def _check_and_build(
@@ -410,9 +400,9 @@ def _check_and_build(
     """Decide both routes and build the report.
 
     The dual has one row per constrained cell: the coordinates not
-    eliminated from the ambient space.  ``duals`` are its routes, in order
-    (see :func:`_dual_routes`): each gives (rank, sigma_max, sigma_m) in the
-    units of the Kronecker primal, or None when it cannot decide.  The first
+    eliminated from the ambient space.  ``duals`` yields the decisions of
+    its routes, in order (see :func:`_dual_decisions`): (route name, rank,
+    sigma_max, sigma_m) in the units of the Kronecker primal.  The first
     decision gives the margin sigma_m and the resolution cut = rank_tol *
     sigma_max; when the primal then disagrees with it, the next dual route
     decides, and only a disagreement with the last raises
@@ -430,11 +420,7 @@ def _check_and_build(
     m = len(cells[0])
     ambient = n * (n + 1) // 2 if symmetric else n * n
     mismatches = []
-    for dual_name, dual in duals:
-        decided = dual()
-        if decided is None:
-            continue
-        dual_rank, sigma_max, margin = decided
+    for dual_name, dual_rank, sigma_max, margin in duals:
         dual_dim = ambient - m + dual_rank
         primal_name, null_dim = None, 0
         if m:
@@ -484,44 +470,36 @@ def _svd_work(rows: int, cols: int) -> int:
     return rows * cols * min(rows, cols)
 
 
-def _split(w: np.ndarray, shape):
-    """Function of a Kronecker system's row cells and column cells (plus
-    ``extra`` SMP trace columns) giving its (row labels, column labels).  A
-    cell's label is the unordered pair of its components in W's exact
-    support graph, or -1 within one component, which the SMP trace columns
-    (W^k)_ij join.  It gives None (system whole) when that graph is
-    connected or rows * cols * min(rows, cols) of ``shape`` is below
-    SPLIT_MIN_WORK."""
-
-    def whole(row_cells, col_cells, extra=0):
-        return None
-
+def _split(w: np.ndarray, shape, rows, cols, extra=0):
+    """(row labels, column labels) of a Kronecker system over the cells
+    ``rows`` and ``cols`` plus ``extra`` SMP trace columns.  A cell's label
+    is the unordered pair of its components in W's exact support graph, or
+    -1 within one component, which the SMP trace columns (W^k)_ij join.
+    None (system whole) when that graph is connected or rows * cols *
+    min(rows, cols) of ``shape`` is below SPLIT_MIN_WORK."""
     if _svd_work(*shape) < SPLIT_MIN_WORK:
-        return whole
+        return None
     n = w.shape[0]
     reach = (w != 0) | (w.T != 0) | np.eye(n, dtype=bool)
     for _ in range(max(n - 1, 1).bit_length()):  # repeated squaring
         if reach.all():
-            return whole
+            return None
         reach = reach @ reach
     comp = np.argmax(reach, axis=1)  # the smallest vertex of each component
     if not comp.any():
-        return whole
+        return None
 
     def label(cells) -> np.ndarray:
         ci, cj = comp[cells[0]], comp[cells[1]]
         return np.where(ci == cj, -1, np.minimum(ci, cj) * n + np.maximum(ci, cj))
 
-    def blocks(row_cells, col_cells, extra=0):
-        return label(row_cells), np.concatenate([label(col_cells), np.full(extra, -1)])
-
-    return blocks
+    return label(rows), np.concatenate([label(cols), np.full(extra, -1)])
 
 
 def _prepare_symmetric(a, g: Graph, tol: Tolerances):
     a = symmetrize(a)
     if not matrix_in_graph_class(a, g, tol):
-        raise InputError("matrix is not in the class of the given graph")
+        raise NotInClass("matrix is not in the class of the given graph")
     scale = fro(a)
     work = a / scale if scale > 0 else a
     return a, work
@@ -580,7 +558,7 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     a, w = _prepare_symmetric(a, g, tol)
     cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
     shape = (len(cells[0]), len(upper[0]))
-    dual_blocks = _split(w, shape)(cells, upper)
+    dual_blocks = _split(w, shape, cells, upper)
 
     def primal(cut):
         system, _, to_matrix = _commutant_system(sym_eig(w, tol), cut, g)
@@ -588,7 +566,7 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "ssp", g.n, cells, True,
-        _dual_routes(_kronecker_entries(w, cells, "ssp"), shape, dual_blocks, tol),
+        _dual_decisions(_kronecker_entries(w, cells, "ssp"), shape, dual_blocks, tol),
         tol, _commutator_residual(a), primal,
         lambda _: (_commutator_primal(w, cells, upper), _transposed(dual_blocks), None),
     )
@@ -641,8 +619,8 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     q, alt_qs = _smp_q_candidates(lam, tol)
     cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
     shape = (len(cells[0]), len(upper[0]))
-    split = _split(w, (shape[0], shape[1] + q))
-    dual_blocks = split(cells, upper, q)
+    work = (shape[0], shape[1] + q)
+    dual_blocks = _split(w, work, cells, upper, q)
 
     def primal(cut):
         commutant, diagonal, to_matrix = _commutant_system(eig, cut, g)
@@ -657,12 +635,12 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
 
     return _check_and_build(
         "smp", g.n, cells, True,
-        _dual_routes(_kronecker_entries(w, cells, "smp"), shape, dual_blocks, tol,
-                     trailing=_trace_rows(w, cells, q).T),
+        _dual_decisions(_kronecker_entries(w, cells, "smp"), shape, dual_blocks, tol,
+                        trailing=_trace_rows(w, cells, q).T),
         tol, _commutator_residual(a), primal,
         lambda q_val: (
             np.vstack([_commutator_primal(w, cells, upper), _trace_rows(w, cells, q_val)]),
-            _transposed(split(cells, upper, q_val)), None),
+            _transposed(_split(w, work, cells, upper, q_val)), None),
         q_used=q, alt_qs=[alt for alt in alt_qs if 1 <= alt <= g.n],
     )
 
@@ -674,7 +652,7 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     a, w = _prepare_symmetric(a, g, tol)
     cells, every = _non_edges(g), np.divmod(np.arange(g.n * g.n), g.n)
     shape = (len(cells[0]), g.n * g.n)
-    dual_blocks = _split(w, shape)(cells, every)
+    dual_blocks = _split(w, shape, cells, every)
 
     def primal(cut):
         eig = sym_eig(w, tol)
@@ -686,8 +664,8 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
         "sap", g.n, cells, True,
         # the entries are the dual over sqrt 2; a Python float scale keeps
         # the margin a Python float, as the other properties' are
-        _dual_routes(_kronecker_entries(w, cells, "sap"), shape, dual_blocks, tol,
-                     scale=math.sqrt(2.0)),
+        _dual_decisions(_kronecker_entries(w, cells, "sap"), shape, dual_blocks, tol,
+                        scale=math.sqrt(2.0)),
         tol, lambda x: fro(a @ x) / max(fro(a), 1e-300), primal,
         lambda _: ((_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2,
                    _transposed(dual_blocks), None),
@@ -731,7 +709,7 @@ def verify_nssp(
     n = require_square(a)
     if pattern is not None:
         if not matrix_in_sign_class(a, pattern, tol):
-            raise InputError("matrix is not in the class of the given sign pattern")
+            raise NotInClass("matrix is not in the class of the given sign pattern")
     else:
         pattern = SignPattern.from_matrix(a)
     scale = fro(a)
@@ -739,7 +717,7 @@ def verify_nssp(
     zero = pattern.as_array() == 0
     cells, every = np.nonzero(zero), np.divmod(np.arange(n * n), n)
     shape = (len(cells[0]), n * n)
-    dual_blocks = _split(w, shape)(cells, every)
+    dual_blocks = _split(w, shape, cells, every)
 
     def primal(cut):
         if _svd_work(n * n, len(cells[0])) < CENTRALIZER_MIN_WORK:
@@ -754,7 +732,7 @@ def verify_nssp(
 
     return _check_and_build(
         "nssp", n, cells, False,
-        _dual_routes(_kronecker_entries(w, cells, "nssp"), shape, dual_blocks, tol),
+        _dual_decisions(_kronecker_entries(w, cells, "nssp"), shape, dual_blocks, tol),
         tol, lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300), primal,
         lambda _: (_commutator_block(w, every, cells[::-1]), _transposed(dual_blocks), None),
     )

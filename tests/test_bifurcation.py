@@ -5,7 +5,7 @@ import signal
 import numpy as np
 import pytest
 
-from strongprops import bifurcation, numerics, patterns
+from strongprops import bifurcation, numerics, patterns, verifiers
 from strongprops.bifurcation import (
     realize_inertia,
     realize_multiplicity_list,
@@ -26,6 +26,9 @@ from strongprops.errors import (
     NoConvergence,
     NotARefinement,
     NotASuperpattern,
+    NotInClass,
+    PatternViolation,
+    PropertyNotPreserved,
     SurjectivityFailure,
     TargetError,
     UnreachableInertia,
@@ -873,6 +876,74 @@ def test_inertia_moves_every_zero_in_one_hop(monkeypatch):
 def test_multiplicity_list_verifies_the_smp_once(monkeypatch, twisted_c4, c4):
     calls = _counted(monkeypatch, "verify_smp")
     res = realize_multiplicity_list(twisted_c4, c4, [1, 1, 2])
-    # the base, then the realized matrix at full scale
+    # the base, then the hop's realized matrix at unit norm, which scaled
+    # back is the result: the SMP is not verified again at full scale
     assert len(calls) == 2
-    assert np.array_equal(calls[1], res.matrix)
+    assert np.array_equal(calls[0], twisted_c4)
+    assert np.array_equal(fro(twisted_c4) * calls[1], res.matrix)
+
+
+def _class_checks(monkeypatch):
+    """Record the matrix of every graph or sign class check, whichever
+    module makes it."""
+    calls = []
+    for name in ("matrix_in_graph_class", "matrix_in_sign_class"):
+        check = getattr(patterns, name)
+
+        def counted(a, *args, check=check, **kwargs):
+            calls.append(a)
+            return check(a, *args, **kwargs)
+
+        for module in (patterns, verifiers, bifurcation):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_accepted_solves_check_their_class_once(monkeypatch, twisted_c4, c4):
+    # the re-verification of the realized matrix makes the solve's only check
+    dec, pattern = sym_eig(twisted_c4), SignPattern.from_matrix(_SIMILAR_BASE)
+    moved = dec.eigenvectors @ np.diag([-1.5, -1.4, 1.4, 1.5]) @ dec.eigenvectors.T
+    solves = [(ssp_map(twisted_c4, c4), verify_ssp(twisted_c4, c4), moved),
+              (similarity_map(_SIMILAR_BASE, pattern),
+               verify_nssp(_SIMILAR_BASE, pattern=pattern), _SIMILAR_BASE + 0.01 * np.eye(2))]
+    for f, report, target in solves:
+        with monkeypatch.context() as patch:
+            calls = _class_checks(patch)
+            res = solve_to_target(f, target, base_report=report)
+        assert res.iterations > 0 and res.property_report.holds
+        assert len(calls) == 1 and np.array_equal(calls[0], res.matrix)
+
+
+def test_realized_matrix_outside_its_class_is_a_pattern_violation(monkeypatch, twisted_c4, c4):
+    realized = bifurcation.LocalChart.realized
+
+    def zero_edge(chart):
+        out = realized(chart)
+        out[0, 1] = out[1, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(bifurcation.LocalChart, "realized", zero_edge)
+    with pytest.raises(PatternViolation, match="left the pattern class") as error:
+        solve_to_target(ssp_map(twisted_c4, c4), twisted_c4 * 1.01 + 0.01 * np.eye(4))
+    assert type(error.value) is PatternViolation
+    assert isinstance(error.value.__cause__, NotInClass)
+
+
+def test_multiplicity_split_that_loses_the_smp_halves(monkeypatch, twisted_c4, c4):
+    # the first split's re-verification fails: the hop halves its width, as
+    # for any other failed hop, and the second split is accepted
+    calls, verify = [], bifurcation.verify_smp
+
+    def failing_once(a, *args, **kwargs):
+        calls.append(a)
+        report = verify(a, *args, **kwargs)
+        return dataclasses.replace(report, holds=False) if len(calls) == 2 else report
+
+    monkeypatch.setattr(bifurcation, "verify_smp", failing_once)
+    res = realize_multiplicity_list(twisted_c4, c4, [1, 1, 2])
+    assert tuple(res.achieved) == (1, 1, 2) and res.property_report.holds
+    # the base, the split that lost the SMP, then one of about half its
+    # width (the SMP map moves the split values a little)
+    assert len(calls) == 3
+    widths = [np.diff(np.linalg.eigvalsh(m)[:2])[0] for m in calls[1:]]
+    assert widths[1] == pytest.approx(widths[0] / 2.0, rel=0.01)

@@ -70,6 +70,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["c4twist.mat", "--property", "ssp", "--graph", "p4.graph"], "graph"),
+        (["ex15.mat", "--property", "nssp", "--pattern", "plus3.pat"], "sign pattern"),
+    ])
+    def test_matrix_outside_its_class_exit_two(self, workdir, capsys, argv, message):
+        (workdir / "p4.graph").write_text("4 3\n0 1\n1 2\n2 3\n")
+        (workdir / "plus3.pat").write_text("+++\n+++\n+++\n")
+        code, out, err = run(capsys, ["verify"] + [
+            workdir / arg if arg.endswith((".mat", ".graph", ".pat")) else arg for arg in argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix is not in the class of the given {message}\n"
+
     def test_infinite_rank_tol_rejected(self, workdir, capsys):
         # diag(1, 2) on the empty graph has the SSP; an infinite cutoff
         # would zero every singular value and report a failure
@@ -112,6 +124,7 @@ class TestVerifyCommand:
         ("StrongPropsError", 2, "error"),
         ("InputError", 2, "error"),
         ("ParseError", 2, "error"),
+        ("NotInClass", 2, "error"),
         ("HypothesisFailure", 1, "hypothesis failure"),
         ("SurjectivityFailure", 3, "error"),
         ("NoConvergence", 4, "error"),
@@ -199,6 +212,18 @@ class TestRealizeCommand:
         a_json = np.array(doc["result"]["matrix"])
         a_file = parse_matrix_text(out_path.read_text())
         assert np.array_equal(a_json, a_file)
+
+    def test_overflowing_target_spectrum_exit_two(self, workdir, capsys, recwarn):
+        # the distance to the target is not a float: refused before any hop,
+        # without numpy's overflow warning
+        code, out, err = run(
+            capsys,
+            ["realize", workdir / "p3adj.mat", "--graph", workdir / "p3.graph",
+             "--target-spectrum", "1e308 -1e308 0"],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: distance to the target spectrum overflows\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_out_into_missing_directory_exit_two(self, workdir, capsys):
         code, _, err = run(

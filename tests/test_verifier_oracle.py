@@ -621,18 +621,21 @@ def dual_route(monkeypatch):
     routes = []
     original = verifiers._check_and_build
 
+    def deciding(dual_name, route):
+        def traced(*args):
+            decided = route(*args)
+            if decided is not None:
+                routes[-1][1].append(dual_name)
+            return decided
+
+        return traced
+
+    monkeypatch.setattr(verifiers, "_gram_dual", deciding("Gram", verifiers._gram_dual))
+    monkeypatch.setattr(verifiers, "_dense_dual", deciding("dense", verifiers._dense_dual))
+
     def recording(name, n, cells, symmetric, duals, tol, residual_of, primal, kronecker, **kwargs):
         record, offered = [name, [], False], [False]
         routes.append(record)
-
-        def traced(dual_name, dual):
-            def route():
-                decided = dual()
-                if decided is not None:
-                    record[1].append(dual_name)
-                return decided
-
-            return dual_name, route
 
         def small(cut):
             route = primal(cut)
@@ -643,8 +646,8 @@ def dual_route(monkeypatch):
             record[2] = record[2] or offered[0]
             return kronecker(q)
 
-        return original(name, n, cells, symmetric, [traced(*d) for d in duals], tol, residual_of,
-                        small, handed, **kwargs)
+        return original(name, n, cells, symmetric, duals, tol, residual_of, small, handed,
+                        **kwargs)
 
     monkeypatch.setattr(verifiers, "_check_and_build", recording)
     return routes

@@ -1,4 +1,5 @@
 import json
+import weakref
 from unittest.mock import patch
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strongprops import verifiers
-from strongprops.errors import InputError, InternalCheckError
+from strongprops.errors import InputError, InternalCheckError, NotInClass
 from strongprops.numerics import DEFAULT_TOL, fro
 from strongprops.patterns import Graph, SignPattern, edge_span_basis
 from strongprops.verifiers import (
@@ -62,8 +63,9 @@ class TestSSP:
         assert report.holds and report.nullspace_dim == 0
 
     def test_rejects_matrix_outside_class(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^matrix is not in the class of the given graph$") as error:
             verify_ssp(np.eye(3), Graph.path(3))
+        assert isinstance(error.value, NotInClass)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(InputError):
@@ -140,8 +142,11 @@ class TestNSSP:
 
     def test_pattern_membership_checked(self):
         p = SignPattern.from_rows([[1, 1], [1, 1]])
-        with pytest.raises(InputError):
+        with pytest.raises(
+            InputError, match="^matrix is not in the class of the given sign pattern$"
+        ) as error:
             verify_nssp(np.array([[1.0, -1.0], [1.0, 1.0]]), pattern=p)
+        assert isinstance(error.value, NotInClass)
 
 
 class TestCrossProperties:
@@ -474,13 +479,13 @@ def test_dual_assembler_matches_the_elementwise_blocks(monkeypatch):
     from strongprops import bifurcation
 
     recorded = []
-    original = verifiers._dual_routes
+    original = verifiers._dense_dual
 
-    def recording(entries, shape, *args, **kwargs):
+    def recording(entries, shape, *args):
         recorded.append((entries, shape))
-        return original(entries, shape, *args, **kwargs)
+        return original(entries, shape, *args)
 
-    monkeypatch.setattr(verifiers, "_dual_routes", recording)
+    monkeypatch.setattr(verifiers, "_dense_dual", recording)
     rng = np.random.default_rng(47)
     for n in (5, 6, 8):
         g, sym, pattern, square = _signed_inputs(rng, n)
@@ -514,6 +519,39 @@ def test_dual_assembler_matches_the_elementwise_blocks(monkeypatch):
                 reference = _reference_dual(prop, point, cells)
                 step = chart.step_matrix(cells)[:, :reference.shape[1]]
                 assert np.array_equal(step, reference) and not _negative_zeros(step)
+
+
+def test_no_dense_dual_is_alive_while_a_primal_is_factored(monkeypatch):
+    # the dense dual is the largest matrix of a verification: it is dropped
+    # before any primal is factored, on whole and split duals, with and
+    # without the SMP's trace columns, on holding and failing inputs, and
+    # where the Gram route hands over to it
+    duals, alive = [], []
+    dense, primal_nullspace = verifiers._dense, verifiers._primal_nullspace
+
+    def recording(entries, shape):
+        dual = dense(entries, shape)
+        duals.append(weakref.ref(dual))
+        return dual
+
+    def checking(*args):
+        alive.extend(ref for ref in duals if ref() is not None)
+        return primal_nullspace(*args)
+
+    monkeypatch.setattr(verifiers, "_dense", recording)
+    monkeypatch.setattr(verifiers, "_primal_nullspace", checking)
+    rng = np.random.default_rng(48)
+    path = Graph.path(16)
+    split = Graph.from_edges(16, [(i, i + 1) for i in range(15) if i != 7])
+    inputs = [(random_in_graph_class(rng, g), g) for g in (path, split, Graph.cycle(8))]
+    inputs.append((adjacency(Graph.cycle(8)), Graph.cycle(8)))  # fails the SSP
+    square = random_square_with_zeros(rng, 8)
+    for floor in (verifiers.GRAM_MIN_WORK, 0):
+        monkeypatch.setattr(verifiers, "GRAM_MIN_WORK", floor)
+        reports = [verifier(a, g) for a, g in inputs for verifier in ALL_SYMMETRIC]
+        reports += [verify_nssp(square), verify_nssp(np.array([[0.0, 1.0], [0.0, 0.0]]))]
+        assert {report.holds for report in reports} == {True, False}
+    assert duals and alive == []
 
 
 DECISION_FIELDS = ("holds", "nullspace_dim", "dual_span_dim", "dual_verdict", "q_used", "q_alternatives")
@@ -564,15 +602,10 @@ class TestGramRoute:
         decided = []
         original = verifiers._gram_dual
 
-        def recording(assemble, scale):
-            route = original(assemble, scale)
-
-            def traced():
-                out = route()
-                decided.append(out is not None)
-                return out
-
-            return traced
+        def recording(sparse, trailing, scale):
+            out = original(sparse, trailing, scale)
+            decided.append(out is not None)
+            return out
 
         monkeypatch.setattr(verifiers, "_gram_dual", recording)
         return decided
