@@ -6,8 +6,12 @@ class, and *inertially arbitrary* when every inertia triple is realized.
 Both certifications run the same play: verify a hypothesis on a witness
 matrix (nilpotency and/or a refined-inertia shape, plus the nSSP), build
 an explicit nearby target with the wanted spectrum from the witness's
-real Schur form, realize it inside the pattern with
-:func:`strongprops.bifurcation.realize_similar`, and record the evidence.
+real Schur form, realize it inside the pattern, and record the evidence.
+The spectral certificate realizes each target with
+:func:`strongprops.bifurcation.realize_similar`; the inertial certificate
+and :func:`raise_nilpotent_index` plan one hop of the continuation driver
+:func:`strongprops.bifurcation._homotopy`, whose halving shrinks the
+shift.
 
 Certificates are evidence-based: they verify the hypothesis of the
 underlying theorem and demonstrate a finite list of sampled targets; the
@@ -28,13 +32,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bifurcation import default_trust_radius, realize_similar
+from .bifurcation import _homotopy, default_trust_radius, realize_similar, similarity_map
 from .errors import (
     HypothesisFailure,
     InputError,
     InternalCheckError,
     NoConvergence,
-    PatternViolation,
     SurjectivityFailure,
 )
 from .numerics import (
@@ -71,11 +74,6 @@ CHAR_POLY_RESIDUAL_TOL = 1e-7
 #: so the downscaled solve must land well below the reporting tolerance.
 #: A solve stops at its first residual under it, so it bounds that error.
 _CERT_NEWTON_TOL = 1e-14
-MAX_INDEX_ATTEMPTS = 20
-#: Per-target retries of the inertia certificate, shrinking the real-part
-#: shift by 4 each time (0.07 / 4^7 still clears the eigenvalue-zero
-#: threshold comfortably at desk scales).
-_INERTIA_SHIFT_ATTEMPTS = 8
 #: Per-target retries of the spectral certificate, doubling the downscale
 #: factor k each time.
 _CERT_SCALE_ATTEMPTS = 7
@@ -353,29 +351,13 @@ def _nssp_hypothesis(p: SignPattern, a: np.ndarray, tol: Tolerances) -> StrongPr
 def _evidence(target_kind: str, target, run) -> Evidence:
     """One evidence entry for ``target``: ``run()`` returns (matrix,
     residual, achieved, detail), and the entry holds when ``detail`` is
-    empty.  A :class:`NoConvergence`, :class:`PatternViolation` or
-    :class:`SurjectivityFailure` raised by ``run()`` records a failed entry
-    with its message."""
+    empty.  A :class:`NoConvergence` or :class:`SurjectivityFailure`
+    raised by ``run()`` records a failed entry with its message."""
     try:
         matrix, residual, achieved, detail = run()
-    except (NoConvergence, PatternViolation, SurjectivityFailure) as exc:
+    except (NoConvergence, SurjectivityFailure) as exc:
         return Evidence(target_kind, target, ok=False, detail=str(exc))
     return Evidence(target_kind, target, not detail, residual, matrix, achieved, detail)
-
-
-def _first_success(attempt, values, message: str | None = None):
-    """``attempt(value)`` for each value in turn, until one returns without
-    :class:`NoConvergence` or :class:`PatternViolation`.  When all of them
-    fail, the last failure is raised again, or a :class:`NoConvergence`
-    with ``message`` when one is given."""
-    for value in values:
-        try:
-            return attempt(value)
-        except (NoConvergence, PatternViolation) as exc:
-            last = exc
-    if message is not None:
-        raise NoConvergence(message) from last
-    raise last
 
 
 def certify_spectrally_arbitrary(
@@ -394,7 +376,8 @@ def certify_spectrally_arbitrary(
     scaled back (positive scaling preserves signs); the evidence records
     the characteristic-polynomial residual at full scale, where
     coefficient j carries the solve's error times k^j, so the smallest k
-    that solves is the one to use.  A failed solve moves on to 2k.
+    that solves is the one to use.  A failed solve moves on to 2k, up to
+    ``_CERT_SCALE_ATTEMPTS`` values of k.
     """
     a = as_matrix(a, "witness matrix")
     require_square(a, "witness matrix")
@@ -421,15 +404,18 @@ def certify_spectrally_arbitrary(
         if k > 1 and radius / (k // 2) < limit:
             k //= 2
 
-        def attempt(k):
-            m = nilpotent_nearby(a, target.scaled(1.0 / k), tol=tol)
-            return k, realize_similar(a, p, m, solve_tol, base_report=report)
-
         def run():
+            for i in range(_CERT_SCALE_ATTEMPTS):
+                m = nilpotent_nearby(a, target.scaled(1.0 / (k << i)), tol=tol)
+                try:
+                    res = realize_similar(a, p, m, solve_tol, base_report=report)
+                    break
+                except NoConvergence:
+                    if i == _CERT_SCALE_ATTEMPTS - 1:
+                        raise
             # k is a power of two, so the scaled realization keeps its signs
             # and its class
-            used, res = _first_success(attempt, (k << i for i in range(_CERT_SCALE_ATTEMPTS)))
-            realized = float(used) * res.matrix
+            realized = float(k << i) * res.matrix
             residual = float(np.max(np.abs(char_poly(realized) - target.char_poly())))
             achieved = [str(v) for v in np.round(real_schur(realized).eigenvalues(), 12)]
             return realized, residual, achieved, (
@@ -459,11 +445,20 @@ def raise_nilpotent_index(
     Fills the small superdiagonal entries of the witness's strictly upper
     triangular Schur form with ``delta`` (a strictly upper matrix with a
     nonzero superdiagonal is nilpotent of index n), then realizes the
-    perturbed form in the class; the realized matrix keeps the nSSP.
-    Returns the witness itself when it already has index n.
+    perturbed form in the class in one hop of :func:`_homotopy`, whose
+    halving halves ``delta`` when the solve fails; the realized matrix
+    keeps the nSSP.  ``delta`` (default 0.01 * (1 + ||A||_F)) must be
+    finite and positive.  A realized matrix that is not nilpotent of index
+    n raises :class:`NoConvergence`: a smaller ``delta`` cannot help, since
+    the (0, n-1) entry of the filled form's (n-1)-th power is the product
+    of its superdiagonal.  Returns the witness itself when it already has
+    index n.
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
+    d = 0.01 * (1.0 + fro(a)) if delta is None else float(delta)
+    if not (math.isfinite(d) and d > 0.0):
+        raise InputError(f"delta must be finite and positive, got {d!r}")
     _certify_hypothesis(p, a, tol, require_nilpotent=True)
 
     def has_index_n(m: np.ndarray) -> bool:
@@ -480,29 +475,19 @@ def raise_nilpotent_index(
     schur = real_schur(a)
     t = schur.quasi_triangular.copy()
     t[np.tril_indices(n)] = 0.0
-    d = 0.01 * (1.0 + fro(a)) if delta is None else float(delta)
-    if d <= 0:
-        raise InputError("delta must be positive")
 
-    def attempt(d):
+    def plan(_cur, size):
         t_new = t.copy()
         for i in range(n - 1):
-            if abs(t_new[i, i + 1]) <= d:
-                t_new[i, i + 1] = d
-        m = schur.orthogonal @ t_new @ schur.orthogonal.T
-        a_prime = realize_similar(a, p, m, tol, base_report=report).matrix
-        power_n = fro(np.linalg.matrix_power(a_prime, n))
-        if has_index_n(a_prime) and power_n <= NILPOTENT_NORM_RTOL * max(
-            1.0, fro(a_prime) ** n
-        ):
-            return a_prime
-        raise NoConvergence("realized matrix is not nilpotent of index n")
+            if abs(t_new[i, i + 1]) <= size:
+                t_new[i, i + 1] = size
+        return schur.orthogonal @ t_new @ schur.orthogonal.T, True
 
-    return _first_success(
-        attempt,
-        (d / 2.0**i for i in range(MAX_INDEX_ATTEMPTS)),
-        "index check failure: could not realize index n",
-    )
+    a_prime = _homotopy(similarity_map(a, p), report, d, plan, tol, "index raise").matrix
+    power_n = fro(np.linalg.matrix_power(a_prime, n))
+    if has_index_n(a_prime) and power_n <= NILPOTENT_NORM_RTOL * max(1.0, fro(a_prime) ** n):
+        return a_prime
+    raise NoConvergence("index check failure: realized matrix is not nilpotent of index n")
 
 
 def _allocate_perturbations(
@@ -539,13 +524,16 @@ def certify_inertially_arbitrary(
     target, as many zero eigenvalues as the target allows are shifted into
     the wanted half-planes (defective slots first, a diagonal shift of their
     Schur slots), and conjugate pure-imaginary pairs make up the remainder
-    (a diagonal shift of their 2x2 Schur blocks).
+    (a diagonal shift of their 2x2 Schur blocks).  Each target is one hop
+    of :func:`_homotopy` on one similarity map of the witness: the shift is
+    0.5 * trust / sqrt(n), so it halves with the trust radius when the
+    solve fails (any positive shift realizes the same inertia).
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
     _certify_hypothesis(p, a, tol, require_nilpotent=False)
     refined = rin(a, tol)
-    n_pos, n_neg, n_z, n_p2 = refined
+    n_pos, n_neg, n_z, _ = refined
     if n_pos or n_neg:
         raise HypothesisFailure(
             f"witness has eigenvalues with nonzero real part: rin = {refined}"
@@ -556,7 +544,8 @@ def certify_inertially_arbitrary(
         )
     report = _nssp_hypothesis(p, a, tol)
 
-    # Classify diagonal blocks by eigenvalue content: a 2x2 block whose two
+    # Classify diagonal blocks by eigenvalue content, with rin's zero test on
+    # the same Schur form (so the counts are rin's): a 2x2 block whose two
     # eigenvalues both vanish is an unsplit defective zero and contributes
     # two independently shiftable diagonal slots.  Defective slots are
     # listed first so that shifts break those blocks up before touching
@@ -571,20 +560,16 @@ def certify_inertially_arbitrary(
         if size == 1:
             simple_slots.append(start)
             continue
+        # LAPACK's standardized 2x2 blocks have disc < 0
         mean, disc = schur.block_mean_disc(start)
-        radius = math.sqrt(abs(disc))
-        if abs(mean) + radius <= thr:
+        if abs(complex(mean, math.sqrt(-disc))) <= thr:
             defective_slots.extend([start, start + 1])
         else:
             pair_blocks.append(start)
     zero_slots = defective_slots + simple_slots
-    if len(zero_slots) != n_z or 2 * len(pair_blocks) != n_p2:
-        raise HypothesisFailure(
-            "Schur block structure disagrees with the refined inertia; "
-            "the witness spectrum is numerically ambiguous"
-        )
 
-    delta0 = 0.5 * default_trust_radius(a) / math.sqrt(n)
+    f = similarity_map(a, p)
+    trust = default_trust_radius(a)
     evidence = []
     for p_t in range(n + 1):
         for q_t in range(n + 1 - p_t):
@@ -593,7 +578,8 @@ def certify_inertially_arbitrary(
                 p_t, q_t, len(pair_blocks), len(zero_slots)
             )
 
-            def attempt(delta):
+            def plan(_cur, trust):
+                delta = 0.5 * trust / math.sqrt(n)
                 shift = np.zeros((n, n))
                 for start in pair_blocks[:pairs_pos]:
                     shift[start, start] = shift[start + 1, start + 1] = delta
@@ -603,16 +589,10 @@ def certify_inertially_arbitrary(
                     shift[slot, slot] = delta
                 for slot in zero_slots[zeros_pos : zeros_pos + zeros_neg]:
                     shift[slot, slot] = -delta
-                m = schur.orthogonal @ (schur.quasi_triangular + shift) @ schur.orthogonal.T
-                return realize_similar(a, p, m, tol, base_report=report)
+                return schur.orthogonal @ (schur.quasi_triangular + shift) @ schur.orthogonal.T, True
 
             def run():
-                # Any positive shift realizes the same inertia, so the shift
-                # shrinks until the target sits inside the reachable
-                # neighborhood of the witness.
-                res = _first_success(
-                    attempt, (delta0 / 4.0**i for i in range(_INERTIA_SHIFT_ATTEMPTS))
-                )
+                res = _homotopy(f, report, trust, plan, tol, "inertia shift")
                 achieved = inertia(res.matrix, tol)
                 return res.matrix, res.final_residual, achieved, (
                     "" if achieved == target else f"achieved inertia {achieved}"

@@ -1,7 +1,7 @@
 """Every realizer and certificate retry runs through one bounded loop: the
-continuation driver ``bifurcation._homotopy`` or the retry helper
-``arbitrary._first_success``.  These tests pin the bounds by making every
-solve fail."""
+continuation driver ``bifurcation._homotopy``, or the spectral
+certificate's scale-back over k.  These tests pin the bounds by making
+every solve fail."""
 
 import numpy as np
 import pytest
@@ -24,8 +24,8 @@ from strongprops.bifurcation import (
     solve_to_target,
     ssp_map,
 )
-from strongprops.errors import NoConvergence, PatternViolation, SurjectivityFailure
-from strongprops.numerics import DEFAULT_TOL
+from strongprops.errors import InputError, NoConvergence, PatternViolation, SurjectivityFailure
+from strongprops.numerics import DEFAULT_TOL, fro, real_schur
 from strongprops.patterns import Graph, SignPattern
 
 
@@ -172,11 +172,17 @@ def test_spectral_certificate_tries_each_scale(monkeypatch, example15, example15
 
 def test_inertial_certificate_tries_each_shift(monkeypatch):
     w = np.array([[1.0, -1.0], [1.0, -1.0]])
-    solves = _failing(monkeypatch, arbitrary, "realize_similar")
+    solves = _failing(monkeypatch, bifurcation, "solve_to_target")
     cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
     assert len(cert.evidence) == 6
-    assert all(not e.ok and e.detail == "always fails" for e in cert.evidence)
-    assert len(solves) == 6 * arbitrary._INERTIA_SHIFT_ATTEMPTS
+    assert all(
+        not e.ok and e.detail == f"inertia shift failed after {MAX_TRUST_HALVINGS} trust-radius halvings"
+        for e in cert.evidence
+    )
+    # each halving halves the shift, so each target is a new solve, except
+    # (0, 0, 2): it shifts nothing, so its plan returns one target at every
+    # radius and the driver solves it once
+    assert len(solves) == 5 * (MAX_TRUST_HALVINGS + 1) + 1
 
 
 @pytest.mark.parametrize("error", [PatternViolation, SurjectivityFailure])
@@ -184,18 +190,93 @@ def test_certificate_records_each_failure_with_its_message(monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("left the class")
 
-    monkeypatch.setattr(arbitrary, "realize_similar", fail)
+    monkeypatch.setattr(bifurcation, "solve_to_target", fail)
     w = np.array([[1.0, -1.0], [1.0, -1.0]])
     cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
     assert not cert.complete and len(cert.evidence) == 6
+    # the driver halves on a PatternViolation and gives up with its own
+    # NoConvergence; a SurjectivityFailure passes through
+    detail = (
+        f"inertia shift failed after {MAX_TRUST_HALVINGS} trust-radius halvings"
+        if error is PatternViolation else "left the class"
+    )
     for e in cert.evidence:
-        assert (e.ok, e.detail, e.matrix, e.residual) == (False, "left the class", None, None)
+        assert (e.ok, e.detail, e.matrix, e.residual) == (False, detail, None, None)
 
 
 def test_raise_nilpotent_index_gives_up_with_no_convergence(
     monkeypatch, example15, example15_pattern
 ):
-    solves = _failing(monkeypatch, arbitrary, "realize_similar")
-    with pytest.raises(NoConvergence, match="index check failure"):
+    solves = _failing(monkeypatch, bifurcation, "solve_to_target")
+    with pytest.raises(NoConvergence, match="index raise failed after"):
         raise_nilpotent_index(example15, example15_pattern)
-    assert len(solves) == arbitrary.MAX_INDEX_ATTEMPTS
+    assert len(solves) == MAX_TRUST_HALVINGS + 1
+
+
+def _recording_solves(monkeypatch, fail_first=None):
+    """Record the target of every ``solve_to_target`` call; the first call
+    whose target equals ``fail_first`` raises NoConvergence instead."""
+    targets = []
+    solve = bifurcation.solve_to_target
+
+    def recording(f, m, *args, **kwargs):
+        targets.append(m)
+        if fail_first is not None and np.array_equal(m, fail_first) and sum(
+            np.array_equal(t, fail_first) for t in targets
+        ) == 1:
+            raise NoConvergence("first hop fails")
+        return solve(f, m, *args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "solve_to_target", recording)
+    return targets
+
+
+def _shifted(w, delta):
+    # the (1, 1, 0) target of a 2 x 2 witness whose zeros are its two
+    # Schur slots: the first slot moves to +delta, the second to -delta
+    schur = real_schur(w)
+    shift = np.diag([delta, -delta])
+    return schur.orthogonal @ (schur.quasi_triangular + shift) @ schur.orthogonal.T
+
+
+def test_first_hops_solve_the_planned_targets_bitwise(
+    monkeypatch, example15, example15_pattern
+):
+    w = np.array([[1.0, -1.0], [1.0, -1.0]])
+    delta0 = 0.5 * bifurcation.default_trust_radius(w) / np.sqrt(2)
+    targets = _recording_solves(monkeypatch)
+    cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
+    assert cert.complete and len(targets) == 6
+    # evidence order: (0,0,2), (0,1,1), (0,2,0), (1,0,1), (1,1,0), (2,0,0)
+    assert np.array_equal(targets[4], _shifted(w, delta0))
+
+    targets.clear()
+    a_prime = raise_nilpotent_index(example15, example15_pattern)
+    schur = real_schur(example15)
+    t = np.triu(schur.quasi_triangular, 1)
+    delta = 0.01 * (1.0 + fro(example15))
+    for i in range(2):
+        if abs(t[i, i + 1]) <= delta:
+            t[i, i + 1] = delta
+    assert len(targets) == 1
+    assert np.array_equal(targets[0], schur.orthogonal @ t @ schur.orthogonal.T)
+    assert fro(np.linalg.matrix_power(a_prime, 2)) > 1e-4
+
+
+def test_failed_inertial_hop_is_solved_again_at_half_the_shift(monkeypatch):
+    w = np.array([[1.0, -1.0], [1.0, -1.0]])
+    delta0 = 0.5 * bifurcation.default_trust_radius(w) / np.sqrt(2)
+    targets = _recording_solves(monkeypatch, fail_first=_shifted(w, delta0))
+    walks = _failing(monkeypatch, bifurcation, "_spectral_walk")
+    cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
+    assert cert.complete and len(targets) == 7 and not walks
+    assert np.array_equal(targets[4], _shifted(w, delta0))
+    assert np.array_equal(targets[5], _shifted(w, delta0 / 2.0))
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
+def test_raise_nilpotent_index_refuses_a_bad_delta(monkeypatch, example15, example15_pattern, delta):
+    solves = _failing(monkeypatch, bifurcation, "solve_to_target")
+    with pytest.raises(InputError, match="delta must be finite and positive") as info:
+        raise_nilpotent_index(example15, example15_pattern, delta=delta)
+    assert info.value.exit_code == 2 and not solves
