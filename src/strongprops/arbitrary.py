@@ -6,12 +6,10 @@ class, and *inertially arbitrary* when every inertia triple is realized.
 Both certifications run the same play: verify a hypothesis on a witness
 matrix (nilpotency and/or a refined-inertia shape, plus the nSSP), build
 an explicit nearby target with the wanted spectrum from the witness's
-real Schur form, realize it inside the pattern, and record the evidence.
-The spectral certificate realizes each target with
-:func:`strongprops.bifurcation.realize_similar`; the inertial certificate
-and :func:`raise_nilpotent_index` plan one hop of the continuation driver
-:func:`strongprops.bifurcation._homotopy`, whose halving shrinks the
-shift.
+real Schur form, realize it inside the pattern (spectra with
+:func:`strongprops.bifurcation.realize_similar`, inertias in one hop of
+its driver :func:`strongprops.bifurcation._homotopy`), and record the
+evidence.
 
 Certificates are evidence-based: they verify the hypothesis of the
 underlying theorem and demonstrate a finite list of sampled targets; the
@@ -445,14 +443,12 @@ def raise_nilpotent_index(
     Fills the small superdiagonal entries of the witness's strictly upper
     triangular Schur form with ``delta`` (a strictly upper matrix with a
     nonzero superdiagonal is nilpotent of index n), then realizes the
-    perturbed form in the class in one hop of :func:`_homotopy`, whose
-    halving halves ``delta`` when the solve fails; the realized matrix
-    keeps the nSSP.  ``delta`` (default 0.01 * (1 + ||A||_F)) must be
-    finite and positive.  A realized matrix that is not nilpotent of index
-    n raises :class:`NoConvergence`: a smaller ``delta`` cannot help, since
-    the (0, n-1) entry of the filled form's (n-1)-th power is the product
-    of its superdiagonal.  Returns the witness itself when it already has
-    index n.
+    perturbed form in the class in one hop of :func:`_homotopy`, which
+    halves ``delta`` (finite and positive; default 0.01 * (1 + ||A||_F))
+    when the solve fails.  A realized matrix without index n raises
+    :class:`NoConvergence` at once: a smaller ``delta`` only shrinks the
+    product of the superdiagonal, the (0, n-1) entry of M^(n-1).  Returns
+    the witness itself when it already has index n.
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
@@ -524,10 +520,8 @@ def certify_inertially_arbitrary(
     target, as many zero eigenvalues as the target allows are shifted into
     the wanted half-planes (defective slots first, a diagonal shift of their
     Schur slots), and conjugate pure-imaginary pairs make up the remainder
-    (a diagonal shift of their 2x2 Schur blocks).  Each target is one hop
-    of :func:`_homotopy` on one similarity map of the witness: the shift is
-    0.5 * trust / sqrt(n), so it halves with the trust radius when the
-    solve fails (any positive shift realizes the same inertia).
+    (a diagonal shift of their 2x2 Schur blocks) by 0.5 * trust / sqrt(n),
+    in one hop of :func:`_homotopy` whose halving halves the shift.
     """
     a = as_matrix(a, "witness matrix")
     n = require_square(a, "witness matrix")
@@ -589,6 +583,11 @@ def certify_inertially_arbitrary(
                     shift[slot, slot] = delta
                 for slot in zero_slots[zeros_pos : zeros_pos + zeros_neg]:
                     shift[slot, slot] = -delta
+                # a lone kept zero goes to exactly 0, off the zero threshold
+                # (two at 0 would form a Jordan block that splits again)
+                kept = zero_slots[zeros_pos + zeros_neg :]
+                if len(kept) == 1:
+                    shift[kept[0], kept[0]] = -schur.quasi_triangular[kept[0], kept[0]]
                 return schur.orthogonal @ (schur.quasi_triangular + shift) @ schur.orthogonal.T, True
 
             def run():

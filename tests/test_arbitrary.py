@@ -260,6 +260,17 @@ class TestInertiallyArbitrary:
             )
             assert list(got) == list(e.target)
 
+    def test_lone_kept_zero_of_a_jordan_block_reads_zero(self):
+        # a 2 x 2 Jordan block at zero whose Schur diagonal is about
+        # +-5e-8, just under the witness's zero threshold: target (3, 0, 1)
+        # shifts one of its slots, and the kept slot, left at +5e-8, read
+        # positive against the smaller threshold of the realized matrix
+        w = np.array([[0.0, 0, 1, 1], [2, 1, -1, -2], [-3, -1, -1, 0], [2, 1, 1, 0]])
+        cert = certify_inertially_arbitrary(SignPattern.from_matrix(w), w)
+        (e,) = [e for e in cert.evidence if e.target == [3, 0, 1]]
+        assert e.ok and e.achieved == (3, 0, 1)
+        assert cert.complete
+
     def test_witness_with_pure_imaginary_pair(self):
         rng = np.random.default_rng(41)
         b = np.zeros((4, 4))
