@@ -216,14 +216,13 @@ def test_raise_nilpotent_index_gives_up_with_no_convergence(
 def _recording_solves(monkeypatch, fail_first=None):
     """Record the target of every ``solve_to_target`` call; the first call
     whose target equals ``fail_first`` raises NoConvergence instead."""
-    targets = []
+    targets, failed = [], []
     solve = bifurcation.solve_to_target
 
     def recording(f, m, *args, **kwargs):
         targets.append(m)
-        if fail_first is not None and np.array_equal(m, fail_first) and sum(
-            np.array_equal(t, fail_first) for t in targets
-        ) == 1:
+        if fail_first is not None and not failed and np.array_equal(m, fail_first):
+            failed.append(m)
             raise NoConvergence("first hop fails")
         return solve(f, m, *args, **kwargs)
 
