@@ -115,11 +115,15 @@ def _tolerances(args) -> Tolerances:
         if key not in values:
             raise InputError(f"unknown tolerance {key!r} in {TOLERANCE_ENV_VAR}")
         try:
-            values[key] = float(raw) if key != "max_iter" else int(float(raw))
-        except (ValueError, OverflowError):
+            values[key] = float(raw)
+        except ValueError:
             raise InputError(
                 f"{TOLERANCE_ENV_VAR} entry {item!r} is not a finite number"
             ) from None
+        if key == "max_iter":
+            if not values[key].is_integer():
+                raise InputError(f"{TOLERANCE_ENV_VAR} entry {item!r} is not an integer")
+            values[key] = int(values[key])
     for key in ("rank_tol", "cluster_tol", "newton_tol", "max_iter"):
         flag = getattr(args, key, None)
         if flag is not None:

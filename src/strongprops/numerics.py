@@ -48,7 +48,7 @@ class Tolerances:
     newton_tol
         Residual Frobenius norm at which a Gauss-Newton solve is converged.
     max_iter
-        Gauss-Newton iteration cap.
+        Gauss-Newton iteration cap: an integer (not a bool), at least 1.
     """
 
     rank_tol: float = 1e-8
@@ -61,8 +61,9 @@ class Tolerances:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise InputError(f"{name} must be finite and strictly positive")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be at least 1")
+        cap = self.max_iter
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise InputError("max_iter must be an integer of at least 1")
 
     def as_dict(self) -> dict:
         return {
@@ -204,17 +205,20 @@ def real_schur(a) -> RealSchurForm:
     return RealSchurForm(orthogonal=q, quasi_triangular=t)
 
 
-def _direct_sum_spectra(a: np.ndarray, blocks):
+def _direct_sum_spectra(a, blocks):
     """Values-only singular values of the blocks of ``a``, batched by shape.
 
     ``blocks`` = (row labels, column labels) makes ``a`` a permuted direct
     sum: one block per column label, with the rows of that label (maybe
     none).  Returns, per block shape m x n, the blocks (k x m x n), their
-    column indices (k x n) and singular values.  A nonzero outside the
-    blocks raises :class:`InternalCheckError`, so an assembly error shows
-    instead of being split away."""
+    column indices (k x n) and singular values.  ``a`` is the dense matrix,
+    whose nonzero outside the blocks raises :class:`InternalCheckError`, so
+    an assembly error shows instead of being split away; or a callable
+    that gives the stack of the blocks at row indices (k x m) and column
+    indices (k x n) from the system's own formula, and that makes that
+    check itself, so no whole matrix is ever built."""
     row_labels, col_labels = blocks
-    if np.any(a[row_labels[:, None] != col_labels[None, :]]):
+    if not callable(a) and np.any(a[row_labels[:, None] != col_labels[None, :]]):
         raise InternalCheckError("a nonzero entry lies outside the direct-sum blocks")
     row_order = np.argsort(row_labels, kind="stable")
     col_order = np.argsort(col_labels, kind="stable")
@@ -228,7 +232,7 @@ def _direct_sum_spectra(a: np.ndarray, blocks):
         pick = (heights == height) & (widths == width)
         rows = row_order[row_start[pick][:, None] + np.arange(height)]
         cols = col_order[col_start[pick][:, None] + np.arange(width)]
-        stack = a[rows[:, :, None], cols[:, None, :]]
+        stack = a(rows, cols) if callable(a) else a[rows[:, :, None], cols[:, None, :]]
         groups.append((stack, cols, np.linalg.svd(stack, compute_uv=False)))
     return groups
 
@@ -236,14 +240,16 @@ def _direct_sum_spectra(a: np.ndarray, blocks):
 def rank(a, tol: Tolerances = DEFAULT_TOL, blocks=None, values: bool = False):
     """Numerical rank: count of singular values above rank_tol * sigma_max,
     block by block when ``blocks`` makes ``a`` a permuted direct sum (see
-    :func:`_direct_sum_spectra`), against the threshold of the whole matrix.
+    :func:`_direct_sum_spectra`, also for a callable ``a``), against the
+    threshold of the whole matrix.
 
     With ``values``, returns (rank, singular values in descending order):
     the blocks' together when split, which omits the zeros that wide or
     empty blocks add to the whole matrix's."""
-    a = as_matrix(a)
-    if a.size == 0:
-        return (0, np.zeros(0)) if values else 0
+    if not callable(a):
+        a = as_matrix(a)
+        if a.size == 0:
+            return (0, np.zeros(0)) if values else 0
     spectra = [np.linalg.svd(a, compute_uv=False)] if blocks is None else [
         s for _, _, s in _direct_sum_spectra(a, blocks)]
     thr = tol.rank_tol * max(float(s.max(initial=0.0)) for s in spectra)
@@ -254,20 +260,26 @@ def rank(a, tol: Tolerances = DEFAULT_TOL, blocks=None, values: bool = False):
         [s.reshape(-1) for s in spectra]))
 
 
-def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL, blocks=None) -> tuple[int, np.ndarray]:
+def svd_nullspace(a, tol: Tolerances = DEFAULT_TOL, blocks=None,
+                  null: bool = False) -> tuple[int, np.ndarray]:
     """Nullspace dimension and orthonormal null vectors (columns) of ``a``,
-    its rank decided as by :func:`rank` from values-only SVDs.  Only the
-    first block with a null direction gets singular vectors (the full V
-    when it is wide); its null vectors are returned, embedded."""
-    a = as_matrix(a)
-    m, n = a.shape
+    its rank decided as by :func:`rank`.  A whole ``a`` takes a values-only
+    SVD, and a second one with vectors when it has a null direction; with
+    ``null`` (one is known to exist) it takes only the SVD with vectors and
+    reads the rank from its values.  Split, only the first block with a
+    null direction gets singular vectors (the full V when it is wide); its
+    null vectors are returned, embedded."""
+    a = a if callable(a) else as_matrix(a)
+    m, n = (len(blocks[0]), len(blocks[1])) if callable(a) else a.shape
     if n == 0:
         return 0, np.zeros((0, 0))
     if blocks is None:
-        s = np.linalg.svd(a, compute_uv=False)
+        s, vt = (np.linalg.svd(a, full_matrices=m < n)[1:] if null
+                 else (np.linalg.svd(a, compute_uv=False), None))
         r = int(np.count_nonzero(s > tol.rank_tol * s[0])) if m else 0
-        basis = np.linalg.svd(a, full_matrices=m < n)[2][r:].T if r < n else np.zeros((n, 0))
-        return n - r, basis
+        if r < n and vt is None:
+            vt = np.linalg.svd(a, full_matrices=m < n)[2]
+        return n - r, vt[r:].T if r < n else np.zeros((n, 0))
     groups = _direct_sum_spectra(a, blocks)
     thr = tol.rank_tol * max(float(s.max(initial=0.0)) for _, _, s in groups)
     null_dim, basis = 0, np.zeros((n, 0))

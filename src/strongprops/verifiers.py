@@ -64,7 +64,10 @@ direct-sum splitting
     sum, one block per component pair, with the union of the blocks'
     singular values: the linear algebra of the disjoint-union results for
     SSP, SMP and SAP (Barrett et al., EJC 24 (2017) P2.40).  Blocks are
-    factored one by one against the threshold of the whole system.
+    factored one by one against the threshold of the whole system, each
+    stack of same-shape blocks read from the system's own formula (the
+    dual scattered from its entries, a Kronecker primal evaluated
+    elementwise): no whole matrix of a split system is built.
 
 The eliminated dual block is the transpose of the Kronecker form of the
 primal (the same equations over the orthonormal cell coordinates), up to
@@ -89,11 +92,14 @@ When the primal disagrees with the Gram route, the dense dual decides.
 Both routes factor the entries of one assembler, :func:`_kronecker_entries`,
 and the Kronecker primals are broadcast apart from it, so an assembly error
 in the dual or the Kronecker primal surfaces as a primal/dual mismatch or,
-in a split system, as a nonzero outside its blocks, raising
+in a split system, as a nonzero outside its blocks (an entry of the dual,
+or a Kronecker primal's formula where a row and a column cell share an
+index, the only places its indicator factors can be 1), raising
 :class:`InternalCheckError`, whose message names the primal route that
 decided and each dual route it disagreed with; one in a small-space
 primal that moves its nullity hands the decision to the Kronecker primal,
-and the oracle tests check which routes decided.
+and the oracle tests check which routes decided.  A failing verification
+factors the primal that decides once, with singular vectors.
 
 Inputs are normalized to unit Frobenius norm internally (all four
 properties are invariant under nonzero scaling), so verdicts do not
@@ -206,18 +212,27 @@ class StrongPropertyReport:
 
 def _left_block(w, rows, cols) -> np.ndarray:
     """Rows (a, b), columns (i, j) of D = W (x) I: D[ab, ij] = W[a, i] [b = j].
-    W[a, i] is gathered by whole rows of W[:, i] (copies, not an
-    elementwise index), and the zeros keep the signs of W[a, i] * 0, which
-    the Householder steps of the SVD that gives a witness read.  It serves
-    the Kronecker primals, apart from the dual (:func:`_kronecker_entries`)."""
-    return w[:, cols[0]][rows[0]] * (rows[1][:, None] == cols[1])
+    Cells of 1-D arrays give the whole rows x cols matrix, W[a, i] gathered
+    by whole rows of W[:, i] (copies, not an elementwise index); cells of
+    index arrays that broadcast (the stacked blocks of a split system, see
+    :func:`_kronecker_primal`) give the entries elementwise.  Either way
+    each entry is the one product W[a, i] * [b = j], so the zeros keep the
+    signs of W[a, i] * 0, which the Householder steps of the SVD that gives
+    a witness read.  It serves the Kronecker primals, apart from the dual
+    (:func:`_kronecker_entries`)."""
+    if rows[0].ndim == 1:
+        return w[:, cols[0]][rows[0]] * (rows[1][:, None] == cols[1])
+    return w[rows[0], cols[0]] * (rows[1] == cols[1])
 
 
 def _commutator_block(w, rows, cols) -> np.ndarray:
     """Rows (a, b), columns (i, j) of C = W (x) I - I (x) W^T:
-    C[ab, ij] = W[a, i] [b = j] - [a = i] W[j, b].  On the cell (a, b)
-    itself the entry is the one subtraction W[a, a] - W[b, b]."""
-    return _left_block(w, rows, cols) - (rows[0][:, None] == cols[0]) * w[cols[1]].T[rows[1]]
+    C[ab, ij] = W[a, i] [b = j] - [a = i] W[j, b], whole or elementwise as
+    :func:`_left_block`.  On the cell (a, b) itself the entry is the one
+    subtraction W[a, a] - W[b, b]."""
+    if rows[0].ndim == 1:
+        return _left_block(w, rows, cols) - (rows[0][:, None] == cols[0]) * w[cols[1]].T[rows[1]]
+    return _left_block(w, rows, cols) - (rows[0] == cols[0]) * w[cols[1], rows[1]]
 
 
 def _kronecker_entries(w, rows, prop: str):
@@ -279,9 +294,10 @@ def _non_edges(g: Graph):
     return np.nonzero(_upper_mask(g.n) & ~adjacent)
 
 
-def _primal_nullspace(system: np.ndarray, tol: Tolerances, blocks=None):
-    """(nullspace dim, null vectors) of a primal system."""
-    return svd_nullspace(system, tol, blocks)
+def _primal_nullspace(system, tol: Tolerances, blocks=None, null: bool = False):
+    """(nullspace dim, null vectors) of a primal system; ``null`` when the
+    dual has found a null direction, so a whole system is factored once."""
+    return svd_nullspace(system, tol, blocks, null=True) if null else svd_nullspace(system, tol, blocks)
 
 
 def _witness_from(n: int, cells, coeffs: np.ndarray, symmetric: bool) -> np.ndarray:
@@ -303,19 +319,45 @@ def _transposed(blocks):
 _SMALL_PRIMAL = {"ssp": "commutant", "smp": "commutant", "sap": "kernel", "nssp": "centralizer"}
 
 
+def _split_dual(entries, shape, blocks, trailing):
+    """The dual of ``entries`` and ``trailing`` columns split by ``blocks``,
+    as :func:`numerics.rank` takes it: a callable that scatters the entries
+    of each stack of blocks straight into it (by :func:`_dense`, in entry
+    order, so each sum has the whole dual's bits) and copies the trailing
+    columns in.  A nonzero entry or trailing value outside the blocks
+    raises :class:`InternalCheckError`."""
+    (k, col, value), (row_labels, col_labels) = entries, blocks
+    if np.any(value[row_labels[k] != col_labels[col]]) or trailing is not None and np.any(
+            trailing[row_labels[:, None] != col_labels[shape[1]:]]):
+        raise InternalCheckError("a nonzero entry lies outside the direct-sum blocks")
+
+    def stack(rows, cols):
+        # each row of the stack at block * height + row, each column at its place
+        slot, place, width = np.full(shape[0], -1), np.zeros(len(col_labels), int), cols.shape[1]
+        slot[rows], place[cols] = np.arange(rows.size).reshape(rows.shape), np.arange(width)
+        keep = slot[k] >= 0
+        out = _dense((slot[k[keep]], place[col[keep]], value[keep]), (rows.size, width))
+        out, extra = out.reshape(*rows.shape, width), (cols - shape[1])[:, None, :]
+        if trailing is None:
+            return out
+        return np.where(extra >= 0, trailing[rows[:, :, None], np.maximum(extra, 0)], out)
+
+    return stack
+
+
 def _dense_dual(entries, shape, blocks, tol: Tolerances, scale: float, trailing):
-    """The dual route that always decides: a values-only SVD of the dense
-    dual, its ``entries`` (:func:`_dense`) and then ``trailing`` columns,
-    block by block when ``blocks`` splits it (see :func:`_split`).  Gives
-    (rank, sigma_max, sigma_m) in the units of the Kronecker primal, sigma_m
-    the m-th singular value (0 when the dual has fewer).  The dense dual
+    """The dual route that always decides: a values-only SVD of the dual,
+    its ``entries`` and then ``trailing`` columns, dense (:func:`_dense`),
+    or block by block when ``blocks`` splits it (:func:`_split_dual`).
+    Gives (rank, sigma_max, sigma_m) in the units of the Kronecker primal,
+    sigma_m the m-th singular value (0 when the dual has fewer).  The dual
     lives only in this call, so no primal is factored while it is held."""
-    dual = _dense(entries, shape)
-    if trailing is not None:
+    dual = _dense(entries, shape) if blocks is None else _split_dual(entries, shape, blocks, trailing)
+    if blocks is None and trailing is not None:
         dual = np.hstack([dual, trailing])
     dual_rank, values = rank(dual, tol, blocks, values=True)
     values = values / scale
-    m = dual.shape[0]
+    m = shape[0]
     margin = float(values[m - 1]) if 0 < m <= values.size else 0.0
     return dual_rank, float(values.max(initial=0.0)), margin
 
@@ -429,7 +471,7 @@ def _check_and_build(
             for primal_name, route in ((_SMALL_PRIMAL[name], small), ("Kronecker", kronecker)):
                 if route is not None:
                     system, blocks, to_matrix = route(q_used)
-                    null_dim, null_basis = _primal_nullspace(system, tol, blocks)
+                    null_dim, null_basis = _primal_nullspace(system, tol, blocks, dual_rank < m)
                     if null_dim == m - dual_rank:
                         break
         if (null_dim == 0) == (dual_dim == ambient):
@@ -538,10 +580,49 @@ def _commutant_system(eig, cut: float, g: Graph):
     return _congruence_system(eig.eigenvectors, cluster[:, None] == cluster, g)
 
 
-def _commutator_primal(w: np.ndarray, cells, upper) -> np.ndarray:
+def _kronecker_primal(w, system, rows, cols, blocks, trailing=None):
+    """A Kronecker primal route's (system, labels, None): the formula
+    ``system(w, row cells, column cells)`` on the cells ``rows`` x ``cols``,
+    then the dense ``trailing`` rows (the SMP's trace rows), if any.  Whole,
+    the dense matrix; split by ``blocks``, a callable that evaluates each
+    stack of blocks elementwise (see :func:`_left_block`), as
+    :func:`numerics.rank` takes it.  Each entry has an indicator factor
+    ([a = i], [b = j], or [a = j], [b = i] for a pair's mirror), so it is
+    W * 0 = +-0 unless a row and a column cell share an index: the formula
+    is read at those pairs first, and a nonzero there outside the blocks,
+    or a trailing one, raises :class:`InternalCheckError`."""
+    if blocks is None:
+        whole = system(w, rows, cols)
+        return (whole if trailing is None else np.vstack([whole, trailing])), None, None
+    height, n = len(rows[0]), w.shape[0]
+
+    def stack(r, c):
+        top, extra = np.minimum(r, height - 1)[:, :, None], (r - height)[:, :, None]
+        out = system(w, [cell[top] for cell in rows], [cell[c][:, None, :] for cell in cols])
+        if trailing is None:
+            return out
+        return np.where(extra >= 0, trailing[np.maximum(extra, 0), c[:, None, :]], out)
+
+    index = np.full((n, n), -1)
+    index[rows] = np.arange(height)
+    (row_labels, col_labels), i, j = blocks, cols[0][:, None], cols[1][:, None]
+    outside = trailing is not None and np.any(trailing[row_labels[height:, None] != col_labels])
+    # the cells (i, .), (j, .), (., i) and (., j) of each column cell (i, j),
+    # one group at a time (index -1: not a row of the system)
+    every = np.arange(n)[None]
+    for near in ((i, every), (j, every), (every, i), (every, j)):
+        row = index[near]
+        outside = outside or np.any(
+            (system(w, near, (i, j)) != 0) & (row >= 0) & (row_labels[row] != col_labels[:, None]))
+    if outside:
+        raise InternalCheckError("a nonzero entry lies outside the direct-sum blocks")
+    return stack, blocks, None
+
+
+def _commutator_primal(w: np.ndarray, rows, cols) -> np.ndarray:
     """The halved Kronecker SSP primal (upper rows x non-edge pairs), which
     the dual transposes."""
-    return _commutator_block(w, upper, cells) + _commutator_block(w, upper, cells[::-1])
+    return _commutator_block(w, rows, cols) + _commutator_block(w, rows, cols[::-1])
 
 
 def _commutator_residual(a):
@@ -568,7 +649,7 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
         "ssp", g.n, cells, True,
         _dual_decisions(_kronecker_entries(w, cells, "ssp"), shape, dual_blocks, tol),
         tol, _commutator_residual(a), primal,
-        lambda _: (_commutator_primal(w, cells, upper), _transposed(dual_blocks), None),
+        lambda _: _kronecker_primal(w, _commutator_primal, upper, cells, _transposed(dual_blocks)),
     )
 
 
@@ -638,9 +719,9 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
         _dual_decisions(_kronecker_entries(w, cells, "smp"), shape, dual_blocks, tol,
                         trailing=_trace_rows(w, cells, q).T),
         tol, _commutator_residual(a), primal,
-        lambda q_val: (
-            np.vstack([_commutator_primal(w, cells, upper), _trace_rows(w, cells, q_val)]),
-            _transposed(_split(w, work, cells, upper, q_val)), None),
+        lambda q_val: _kronecker_primal(
+            w, _commutator_primal, upper, cells,
+            _transposed(_split(w, work, cells, upper, q_val)), _trace_rows(w, cells, q_val)),
         q_used=q, alt_qs=[alt for alt in alt_qs if 1 <= alt <= g.n],
     )
 
@@ -667,8 +748,9 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
         _dual_decisions(_kronecker_entries(w, cells, "sap"), shape, dual_blocks, tol,
                         scale=math.sqrt(2.0)),
         tol, lambda x: fro(a @ x) / max(fro(a), 1e-300), primal,
-        lambda _: ((_left_block(w, every, cells) + _left_block(w, every, cells[::-1])) / SQRT2,
-                   _transposed(dual_blocks), None),
+        lambda _: _kronecker_primal(
+            w, lambda w, r, c: (_left_block(w, r, c) + _left_block(w, r, c[::-1])) / SQRT2,
+            every, cells, _transposed(dual_blocks)),
     )
 
 
@@ -734,7 +816,8 @@ def verify_nssp(
         "nssp", n, cells, False,
         _dual_decisions(_kronecker_entries(w, cells, "nssp"), shape, dual_blocks, tol),
         tol, lambda x: fro(a @ x.T - x.T @ a) / max(fro(a), 1e-300), primal,
-        lambda _: (_commutator_block(w, every, cells[::-1]), _transposed(dual_blocks), None),
+        lambda _: _kronecker_primal(
+            w, _commutator_block, every, cells[::-1], _transposed(dual_blocks)),
     )
 
 

@@ -498,6 +498,15 @@ class TestToleranceFlags:
         assert code == 2
         assert "STRONGPROPS_TOLERANCES" in err
 
+    def test_non_integral_max_iter_in_env_var(self, workdir, capsys, monkeypatch):
+        # used to run with max_iter 2, truncated
+        monkeypatch.setenv("STRONGPROPS_TOLERANCES", "max_iter=2.5")
+        code, _, err = run(
+            capsys, ["verify", workdir / "ex15.mat", "--property", "nssp"]
+        )
+        assert code == 2
+        assert "STRONGPROPS_TOLERANCES entry 'max_iter=2.5' is not an integer" in err
+
 
 # nilpotent witnesses, so that some certificates get past their hypothesis
 _WITNESSES = (

@@ -32,6 +32,18 @@ def test_tolerances_validation():
             Tolerances(rank_tol=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, 2.5, 3.0, True])
+def test_max_iter_must_be_an_integer(bad):
+    # a float or bool cap used to be accepted, and the Gauss-Newton loop's
+    # range() then failed with a bare TypeError
+    with pytest.raises(InputError, match="max_iter must be an integer"):
+        Tolerances(max_iter=bad)
+
+
+def test_max_iter_takes_a_numpy_integer():
+    assert Tolerances(max_iter=np.int64(3)).max_iter == 3
+
+
 class TestSymEig:
     def test_identity(self):
         dec = sym_eig(np.eye(3))

@@ -1,4 +1,5 @@
 import json
+import sys
 import weakref
 from unittest.mock import patch
 
@@ -362,16 +363,68 @@ class TestDirectSum:
         a = np.diag(np.arange(16.0))
         g = Graph.empty(16)
         assert verify_ssp(a, g).holds
-        original = verifiers._dense
+        original = verifiers._kronecker_entries
 
-        def corrupted(entries, shape):
-            dual = original(entries, shape).copy()
-            dual[1, 0], dual[1, 1] = dual[1, 1], dual[1, 0]
-            return dual
+        def corrupted(w, rows, prop):
+            # each block of this dual is one skew pair: the next is another block
+            k, col, value = original(w, rows, prop)
+            col = col.copy()
+            col[0] = (col[0] + 1) % (16 * 15 // 2)
+            return k, col, value
 
-        monkeypatch.setattr(verifiers, "_dense", corrupted)
+        monkeypatch.setattr(verifiers, "_kronecker_entries", corrupted)
         with pytest.raises(InternalCheckError, match="outside the direct-sum blocks"):
             verify_ssp(a, g)
+
+    def test_row_moved_across_blocks_of_a_kronecker_primal_is_an_internal_error(
+            self, monkeypatch):
+        # the repeated eigenvalue makes W derogatory, so the Kronecker primal
+        # decides; its row (0, 2) holds W[0, 0] - W[2, 2] != 0 at the column
+        # of the zero cell (2, 0), and moving its label to that of row (0, 3)
+        # puts that value outside its block
+        a = np.diag(np.r_[1.0, np.arange(1.0, 16.0)])
+        assert not verify_nssp(a).holds
+        original = verifiers._transposed
+
+        def moved(blocks):
+            rows, cols = original(blocks)
+            rows = rows.copy()
+            rows[2] = rows[3]
+            return rows, cols
+
+        monkeypatch.setattr(verifiers, "_transposed", moved)
+        with pytest.raises(InternalCheckError, match="outside the direct-sum blocks"):
+            verify_nssp(a)
+
+    def test_failing_whole_kronecker_primal_is_factored_once(self, svd_calls):
+        # the dual has found the null directions first, so the Kronecker
+        # primal (16 x 12) takes one SVD, with vectors, and reads its rank
+        # from that SVD's values
+        report = verify_nssp(np.diag([1.0, 1.0, 2.0, 3.0]))
+        assert not report.holds and report.nullspace_dim == 2
+        assert [uv for shape, uv in svd_calls if shape == (16, 12)] == [True]
+
+    def test_split_verification_builds_no_whole_system(self):
+        # the largest array that a package frame holds, as a local or as a
+        # return value, while a split diagonal verify_nssp at n = 24 runs:
+        # its dual is 552 x 576 and its Kronecker primal 576 x 552
+        n, largest = 24, [0]
+
+        def tracer(frame, event, arg):
+            if not frame.f_globals.get("__name__", "").startswith("strongprops."):
+                return None
+            held = [*frame.f_locals.values(), arg]
+            largest[0] = max([largest[0]] + [x.size for x in held if isinstance(x, np.ndarray)])
+            return tracer
+
+        a = np.diag(np.r_[1.0, np.arange(1.0, n)])
+        sys.settrace(tracer)
+        try:
+            report = verify_nssp(a)
+        finally:
+            sys.settrace(None)
+        assert not report.holds and report.nullspace_dim == 2
+        assert 0 < largest[0] < (n * n - n) * n * n // 10
 
 
 @st.composite
@@ -431,6 +484,67 @@ def test_kronecker_blocks_keep_the_signed_zeros_of_their_products():
             left, commutator = _elementwise_blocks(w, rows, cols)
             assert verifiers._left_block(w, rows, cols).tobytes() == left.tobytes()
             assert verifiers._commutator_block(w, rows, cols).tobytes() == commutator.tobytes()
+            # the batched form, as a split primal's stacks evaluate it
+            stacked = [r[None, :, None] for r in rows], [c[None, None, :] for c in cols]
+            assert verifiers._left_block(w, *stacked)[0].tobytes() == left.tobytes()
+            assert verifiers._commutator_block(w, *stacked)[0].tobytes() == commutator.tobytes()
+
+
+def test_split_stacks_are_the_blocks_of_the_dense_systems(monkeypatch):
+    # with every system split (SPLIT_MIN_WORK = 1) and the Kronecker primal
+    # deciding (each small primal has a zero column too many, the nSSP's is
+    # skipped), each stack read from the dual's entries or from a Kronecker
+    # primal's formula is, bit for bit, the stack gathered from the dense
+    # whole system that an unsplit run factors, -0.0 included
+    from strongprops import numerics
+
+    spectra, congruence = numerics._direct_sum_spectra, verifiers._congruence_system
+    split, whole = [], {"rank": [], "nullspace": []}
+
+    def recording(a, blocks):
+        groups = spectra(a, blocks)
+        split.append((blocks, [stack.tobytes() for stack, _, _ in groups]))
+        return groups
+
+    def dense(name, function):
+        def recorded(a, tol, blocks=None, *args, **kwargs):
+            if blocks is None:
+                whole[name].append(a)
+            return function(a, tol, blocks, *args, **kwargs)
+        return recorded
+
+    def with_zero_column(*args):
+        system, diagonal, to_matrix = congruence(*args)
+        return np.hstack([system, np.zeros((len(system), 1))]), np.append(diagonal, -1), to_matrix
+
+    monkeypatch.setattr(numerics, "_direct_sum_spectra", recording)
+    monkeypatch.setattr(verifiers, "rank", dense("rank", verifiers.rank))
+    monkeypatch.setattr(verifiers, "svd_nullspace", dense("nullspace", verifiers.svd_nullspace))
+    monkeypatch.setattr(verifiers, "_congruence_system", with_zero_column)
+    monkeypatch.setattr(verifiers, "_polynomial_basis", lambda *args: None)
+    rng = np.random.default_rng(49)
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
+    sym = random_in_graph_class(rng, g)
+    square = rng.normal(size=(7, 7)) * (sym != 0)
+    sym[sym == 0], square[square == 0] = -0.0, -0.0
+    calls = [lambda verify=verify: verify(sym, g) for verify in ALL_SYMMETRIC]
+    calls.append(lambda: verify_nssp(square))
+    negative = 0
+    for call in calls:
+        monkeypatch.setattr(verifiers, "SPLIT_MIN_WORK", 10**18)
+        call()
+        (dual,), primal = whole["rank"], whole["nullspace"][-1]
+        monkeypatch.setattr(verifiers, "SPLIT_MIN_WORK", 1)
+        split.clear()
+        call()
+        [(dual_blocks, dual_stacks), (primal_blocks, primal_stacks)] = split
+        assert dual_stacks == [stack.tobytes() for stack, _, _ in spectra(dual, dual_blocks)]
+        assert primal_stacks == [stack.tobytes() for stack, _, _ in spectra(primal, primal_blocks)]
+        assert len(dual_stacks) > 1 and len(primal_stacks) > 1
+        negative += _negative_zeros(primal)
+        whole["rank"].clear()
+        whole["nullspace"].clear()
+    assert negative
 
 
 def _negative_zeros(values) -> int:
