@@ -376,20 +376,23 @@ class TestDirectSum:
         with pytest.raises(InternalCheckError, match="outside the direct-sum blocks"):
             verify_ssp(a, g)
 
+    @pytest.mark.parametrize("lower, row", [(0.0, 2), (1.0, 18)])
     def test_row_moved_across_blocks_of_a_kronecker_primal_is_an_internal_error(
-            self, monkeypatch):
-        # the repeated eigenvalue makes W derogatory, so the Kronecker primal
-        # decides; its row (0, 2) holds W[0, 0] - W[2, 2] != 0 at the column
-        # of the zero cell (2, 0), and moving its label to that of row (0, 3)
-        # puts that value outside its block
-        a = np.diag(np.r_[1.0, np.arange(1.0, 16.0)])
+            self, monkeypatch, lower, row):
+        # W is derogatory, so the Kronecker primal decides.  On the diagonal
+        # W, row (0, 2) holds W[0, 0] - W[2, 2] != 0 at the column of the
+        # zero cell (2, 0), where [a = i]; on W = I + E_10, row (1, 2) holds
+        # only W[1, 0] at that column, where [b = j] alone.  Moving the row's
+        # label to the next row's puts that value outside its block.
+        a = np.diag(np.r_[1.0, np.arange(1.0, 16.0)]) if not lower else np.eye(16)
+        a[1, 0] = lower
         assert not verify_nssp(a).holds
         original = verifiers._transposed
 
         def moved(blocks):
             rows, cols = original(blocks)
             rows = rows.copy()
-            rows[2] = rows[3]
+            rows[row] = rows[row + 1]
             return rows, cols
 
         monkeypatch.setattr(verifiers, "_transposed", moved)
