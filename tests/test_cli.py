@@ -499,7 +499,7 @@ class TestToleranceFlags:
         assert "STRONGPROPS_TOLERANCES" in err
 
     def test_non_integral_max_iter_in_env_var(self, workdir, capsys, monkeypatch):
-        # used to run with max_iter 2, truncated
+        # a non-integral cap is refused, not truncated to 2
         monkeypatch.setenv("STRONGPROPS_TOLERANCES", "max_iter=2.5")
         code, _, err = run(
             capsys, ["verify", workdir / "ex15.mat", "--property", "nssp"]

@@ -34,8 +34,8 @@ def test_tolerances_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, 2.5, 3.0, True])
 def test_max_iter_must_be_an_integer(bad):
-    # a float or bool cap used to be accepted, and the Gauss-Newton loop's
-    # range() then failed with a bare TypeError
+    # the Gauss-Newton loop's range() would fail on a float cap with a bare
+    # TypeError, and a bool is no iteration count
     with pytest.raises(InputError, match="max_iter must be an integer"):
         Tolerances(max_iter=bad)
 
