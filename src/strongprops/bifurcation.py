@@ -71,6 +71,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _read_only,
     as_matrix,
     char_poly,
     fro,
@@ -105,7 +106,6 @@ from .verifiers import (
     StrongPropertyReport,
     _dense,
     _kronecker_entries,
-    _non_edges,
     verify_nssp,
     verify_sap,
     verify_smp,
@@ -186,6 +186,27 @@ class PerturbationMap:
     @functools.cached_property
     def _second_basis(self):
         return skew_basis(self.n) if self.kind in ("ssp", "smp") else full_basis(self.n)
+
+    @functools.cached_property
+    def _chart_plan(self):
+        """What every :class:`LocalChart` of the map reads of its pattern:
+        (equation cells, step columns, free cells, :func:`_gather_plan` on
+        the equation cells, and on the free cells), read-only.  It depends
+        on the kind and the pattern alone, so :meth:`rebased` copies share
+        it once it is built."""
+        n = self.n
+        every = np.divmod(np.arange(n * n), n)
+        if self.kind in _SYMMETRIC_KINDS:
+            cells = self.graph._non_edges
+            columns = np.triu_indices(n, 1) if self.kind != "sap" else every
+        else:
+            cells = np.nonzero(self.pattern._signs == 0)
+            columns = every
+        free = np.ones((n, n), dtype=bool)
+        free[cells] = False
+        free = np.nonzero(np.triu(free) if self.kind in _SYMMETRIC_KINDS else free)
+        cells, columns, free = (tuple(map(_read_only, part)) for part in (cells, columns, free))
+        return cells, columns, free, _gather_plan(self.kind, n, cells), _gather_plan(self.kind, n, free)
 
     @property
     def param_dim(self) -> int:
@@ -387,6 +408,20 @@ def superpattern_map(a, p: SignPattern, p_super: SignPattern) -> PerturbationMap
 # Local charts
 
 
+def _gather_plan(kind: str, n: int, cells):
+    """(row, column, source cell, sign) of the entries of a chart's step
+    matrix on ``cells``, which at N is ``_dense((row, column, sign *
+    N.ravel()[source]), shape)``: the dual assembler's entries at the probe
+    +-(1, ..., n^2) as an n x n matrix, signed as the chart signs N, whose
+    values name the cell each entry reads and its sign (:class:`LocalChart`)."""
+    sign = 1.0 if kind in ("sap", "nssp_superpattern") else -1.0
+    prop = "nssp" if kind in _NSSP_KINDS else kind
+    probe = sign * np.arange(1.0, n * n + 1.0).reshape(n, n)
+    k, col, value = _kronecker_entries(probe, cells, prop)
+    source = np.abs(value).astype(np.intp) - 1
+    return tuple(map(_read_only, (k, col, source, np.sign(value))))
+
+
 def _cayley_minus_identity(k: np.ndarray) -> np.ndarray:
     """cay(K) - I = (I - K/2)^-1 K, where cay(K) = (I - K/2)^-1 (I + K/2) is
     orthogonal for skew K and has derivative K at 0."""
@@ -427,22 +462,22 @@ class LocalChart:
     over all n^2 cells), plus one column U P_j U^T per target cluster for
     the SMP.  The block comes from the verifiers' one assembler of the
     dual, :func:`verifiers._kronecker_entries`, at -N or N.
+
+    The cells, the columns and which cell of N each entry of the block
+    reads depend on the pattern alone, so the map builds them once
+    (:attr:`PerturbationMap._chart_plan`, shared by its re-based copies)
+    and each step only gathers N's values into the block
+    (:func:`_gather_plan`).  The plan reads the assembler at a probe with
+    no zeros, so it holds N's nonzero entries in the assembler's order and
+    a +-0 for each of N's zeros, which the scatter-add from +0 leaves
+    without a trace: the block is bitwise the assembler's at N.
     """
 
     def __init__(self, f: PerturbationMap, m, tol: Tolerances = DEFAULT_TOL):
         self.f = f
         self.target = as_matrix(m, "target matrix")
         n = f.n
-        every = np.divmod(np.arange(n * n), n)
-        if f.kind in _SYMMETRIC_KINDS:
-            self.cells = _non_edges(f.graph)
-            self._columns = np.triu_indices(n, 1) if f.kind != "sap" else every
-        else:
-            self.cells = np.nonzero(f.pattern.as_array() == 0)
-            self._columns = every
-        free = np.ones((n, n), dtype=bool)
-        free[self.cells] = False
-        self.free = np.nonzero(np.triu(free) if f.kind in _SYMMETRIC_KINDS else free)
+        self.cells, self._columns, self.free, *self._plans = f._chart_plan
         values = np.zeros(0)
         if f.kind == "smp":
             dec = sym_eig(self.target, tol)
@@ -487,19 +522,23 @@ class LocalChart:
     def residual_norm(self) -> float:
         """||A' - N||_F for the realized matrix A' (:meth:`realized`)."""
         scale = SQRT2 if self.f.kind in _SYMMETRIC_KINDS else 1.0
-        return scale * float(np.linalg.norm(self.residual()))
+        return scale * fro(self.residual())
 
     def step_matrix(self, cells=None) -> np.ndarray:
         """Derivative of N on ``cells`` (default: the equation cells, that
         of :meth:`residual`) along the step coordinates: K' over the
         strictly upper pairs (ssp, smp) or L' over all cells in row-major
         order, then c' (smp)."""
-        cells = self.cells if cells is None else cells
         kind = self.f.kind
-        point = self.point if kind in ("sap", "nssp_superpattern") else -self.point
-        prop = "nssp" if kind.startswith("nssp") else kind
+        if cells is None or cells is self.cells:
+            cells, plan = self.cells, self._plans[0]
+        elif cells is self.free:
+            plan = self._plans[1]
+        else:
+            plan = _gather_plan(kind, self.f.n, cells)
+        k, col, source, sign = plan
         shape = (len(cells[0]), len(self._columns[0]))
-        jac = _dense(_kronecker_entries(point, cells, prop), shape)
+        jac = _dense((k, col, sign * self.point.ravel()[source]), shape)
         if kind == "smp":
             w = self._frame + self.displacement @ self._frame
             products = w[cells[0]] * w[cells[1]]
@@ -713,10 +752,12 @@ def _opening_step(chart: LocalChart, tol: Tolerances) -> np.ndarray:
     would be: it trades the target's displacement between the pattern and
     the group so that the realized matrix stays near the base."""
     equations, free = chart.step_matrix(), chart.step_matrix(chart.free)
-    k = free.shape[0]
-    system = np.block(
-        [[equations, np.zeros((equations.shape[0], k))], [free, -np.eye(k)]]
-    )
+    (rows, cols), k = equations.shape, free.shape[0]
+    # [[equations, 0], [free, -I]], with -I's zeros negated (-0.0) as -np.eye(k)
+    # has them: the signs of zeros can reach the exact zeros of the step
+    system = np.zeros((rows + k, cols + k))
+    system[:rows, :cols], system[rows:, :cols], system[rows:, cols:] = equations, free, -0.0
+    np.fill_diagonal(system[rows:, cols:], -1.0)
     reference = chart.target if chart.f.kind == "nssp_superpattern" else chart.f.base
     rhs = np.concatenate([chart.residual(), (chart.point - reference)[chart.free]])
     return lstsq_min_norm(system, -rhs, tol)[: equations.shape[1]]

@@ -18,6 +18,7 @@ coefficients needed for entry-wise derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,7 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     a = np.asarray(obj, dtype=float)
     if a.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains NaN or Inf entries")
     return a
 
@@ -94,8 +95,19 @@ def require_square(a: np.ndarray, name: str = "matrix") -> int:
 
 
 def fro(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm: the dot product of the ravelled entries that
+    np.linalg.norm forms for a real array, so the same bits, without its
+    dispatch."""
+    x = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place: the structure cached on a graph, a
+    sign pattern or a perturbation map is shared by every call that reads
+    it, so a stray write raises instead of leaking into the next one."""
+    a.flags.writeable = False
+    return a
 
 
 def symmetrize(a, name: str = "matrix") -> np.ndarray:
@@ -336,7 +348,7 @@ def lstsq_min_norm(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise InputError(
             f"incompatible shapes for least squares: {a.shape} vs {b.shape}"
         )
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise InputError("right-hand side contains NaN or Inf entries")
     rows, cols = a.shape
     if 0 < rows <= cols:

@@ -12,7 +12,9 @@ text file formats used by the CLI.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .errors import InputError, ParseError
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _read_only,
     as_matrix,
     fro,
     real_schur,
@@ -47,6 +50,12 @@ def eig_zero_threshold(a: np.ndarray, tol: Tolerances) -> float:
 
 # ---------------------------------------------------------------------------
 # Graphs
+
+
+def _upper_mask(n: int) -> np.ndarray:
+    """Boolean mask of the strictly upper cells (np.triu_indices costs more
+    than the small systems it would index)."""
+    return np.less.outer(np.arange(n), np.arange(n))
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,23 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    # The graph's cells, read-only, cached on first use (a frozen dataclass
+    # still lets functools.cached_property write its __dict__).
+
+    @functools.cached_property
+    def _adjacency(self) -> np.ndarray:
+        """Boolean mask of the edges, both triangles."""
+        out = np.zeros((self.n, self.n), dtype=bool)
+        if self.edges:
+            rows, cols = zip(*self.edges)
+            out[rows, cols] = out[cols, rows] = True
+        return _read_only(out)
+
+    @functools.cached_property
+    def _non_edges(self):
+        """Strictly upper cells (i < j) that are not edges, in row-major order."""
+        return tuple(map(_read_only, np.nonzero(_upper_mask(self.n) & ~self._adjacency)))
+
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in set(self.edges)
 
@@ -134,12 +160,10 @@ class SignPattern:
     def __post_init__(self):
         if self.n < 1 or len(self.cells) != self.n:
             raise InputError("sign pattern must be square and non-empty")
-        for row in self.cells:
-            if len(row) != self.n:
-                raise InputError("sign pattern must be square")
-            for v in row:
-                if v not in (PLUS, MINUS, ZERO):
-                    raise InputError("sign pattern cells must be +1, -1, or 0")
+        if any(len(row) != self.n for row in self.cells):
+            raise InputError("sign pattern must be square")
+        if not all(map((PLUS, MINUS, ZERO).__contains__, chain.from_iterable(self.cells))):
+            raise InputError("sign pattern cells must be +1, -1, or 0")
 
     @classmethod
     def from_rows(cls, rows) -> "SignPattern":
@@ -180,18 +204,16 @@ class SignPattern:
         a = as_matrix(a)
         require_square(a)
         thr = entry_zero_threshold(a) if threshold is None else threshold
-        rows = []
-        for i in range(a.shape[0]):
-            rows.append(
-                [
-                    ZERO if abs(a[i, j]) <= thr else (PLUS if a[i, j] > 0 else MINUS)
-                    for j in range(a.shape[1])
-                ]
-            )
-        return cls.from_rows(rows)
+        signs = np.where(np.abs(a) <= thr, ZERO, np.where(a > 0, PLUS, MINUS))
+        return cls(n=a.shape[0], cells=tuple(map(tuple, signs.tolist())))
+
+    @functools.cached_property
+    def _signs(self) -> np.ndarray:
+        """The cells as a read-only integer array, cached on first use."""
+        return _read_only(np.array(self.cells, dtype=int))
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.cells, dtype=int)
+        return self._signs.copy()
 
     def sign_at(self, i: int, j: int) -> int:
         return self.cells[i][j]
@@ -241,13 +263,9 @@ def matrix_in_graph_class(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> bool:
     a = symmetrize(a)
     if a.shape[0] != g.n:
         raise InputError(f"matrix size {a.shape[0]} does not match graph on {g.n} vertices")
-    edges = np.zeros((g.n, g.n), dtype=bool)
-    if g.edges:
-        rows, cols = zip(*g.edges)
-        edges[rows, cols] = edges[cols, rows] = True
     nonzero = np.abs(a) > entry_zero_threshold(a)
     np.fill_diagonal(nonzero, False)
-    return bool(np.array_equal(nonzero, edges))
+    return bool(np.array_equal(nonzero, g._adjacency))
 
 
 def matrix_in_sign_class(a, p: SignPattern, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -258,7 +276,7 @@ def matrix_in_sign_class(a, p: SignPattern, tol: Tolerances = DEFAULT_TOL) -> bo
     if a.shape[0] != p.n:
         raise InputError(f"matrix size {a.shape[0]} does not match pattern size {p.n}")
     nonzero = np.abs(a) > entry_zero_threshold(a)
-    return bool(np.array_equal(np.sign(a) * nonzero, p.cells))
+    return bool(np.array_equal(np.sign(a) * nonzero, p._signs))
 
 
 def marginal_cells(a, required_nonzero, factor: float = 10.0) -> list[tuple[int, int]]:

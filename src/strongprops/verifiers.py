@@ -130,6 +130,7 @@ from .numerics import (
 from .patterns import (
     Graph,
     SignPattern,
+    _upper_mask,
     cluster_eigenvalues,
     matrix_in_graph_class,
     matrix_in_sign_class,
@@ -278,20 +279,6 @@ def _sparse(entries, shape):
 
     k, col, value = entries
     return scipy.sparse.csr_matrix((value, (k, col)), shape=shape)
-
-
-def _upper_mask(n: int) -> np.ndarray:
-    """Boolean mask of the strictly upper cells (np.triu_indices costs more
-    than the small systems it would index)."""
-    return np.less.outer(np.arange(n), np.arange(n))
-
-
-def _non_edges(g: Graph):
-    """Strictly upper cells (i < j) that are not edges, in row-major order."""
-    adjacent = np.zeros((g.n, g.n), dtype=bool)
-    for i, j in g.edges:
-        adjacent[i, j] = True
-    return np.nonzero(_upper_mask(g.n) & ~adjacent)
 
 
 def _primal_nullspace(system, tol: Tolerances, blocks=None, null: bool = False):
@@ -637,7 +624,7 @@ def verify_ssp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     spans all symmetric matrices.
     """
     a, w = _prepare_symmetric(a, g, tol)
-    cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
+    cells, upper = g._non_edges, np.nonzero(_upper_mask(g.n))
     shape = (len(cells[0]), len(upper[0]))
     dual_blocks = _split(w, shape, cells, upper)
 
@@ -698,7 +685,7 @@ def verify_smp(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     eig = sym_eig(w, tol)
     lam = eig.eigenvalues
     q, alt_qs = _smp_q_candidates(lam, tol)
-    cells, upper = _non_edges(g), np.nonzero(_upper_mask(g.n))
+    cells, upper = g._non_edges, np.nonzero(_upper_mask(g.n))
     shape = (len(cells[0]), len(upper[0]))
     work = (shape[0], shape[1] + q)
     dual_blocks = _split(w, work, cells, upper, q)
@@ -731,7 +718,7 @@ def verify_sap(a, g: Graph, tol: Tolerances = DEFAULT_TOL) -> StrongPropertyRepo
     X = N Y N^T with N an eigenbasis of ker A; dual uses {L^T A + A L} with L
     ranging over all square matrices."""
     a, w = _prepare_symmetric(a, g, tol)
-    cells, every = _non_edges(g), np.divmod(np.arange(g.n * g.n), g.n)
+    cells, every = g._non_edges, np.divmod(np.arange(g.n * g.n), g.n)
     shape = (len(cells[0]), g.n * g.n)
     dual_blocks = _split(w, shape, cells, every)
 
@@ -759,8 +746,12 @@ def _polynomial_basis(w: np.ndarray, cut: float) -> np.ndarray | None:
     by Arnoldi with two Gram-Schmidt passes, or None when a step leaves at
     most ``cut`` (W has unit norm): the minimal polynomial of W has degree
     below n at that resolution, so W is derogatory and its centralizer is
-    larger."""
+    larger.  A diagonal W with a repeated value is exactly derogatory (its
+    Arnoldi steps break down at heights far below the cut): None at once."""
     n = w.shape[0]
+    d = np.diagonal(w)
+    if np.count_nonzero(w) == np.count_nonzero(d) and np.unique(d).size < n:
+        return None
     basis = np.empty((n, n * n))
     basis[0] = np.eye(n).reshape(-1) / np.sqrt(n)
     for k in range(1, n):
@@ -796,7 +787,7 @@ def verify_nssp(
         pattern = SignPattern.from_matrix(a)
     scale = fro(a)
     w = a / scale if scale > 0 else a
-    zero = pattern.as_array() == 0
+    zero = pattern._signs == 0
     cells, every = np.nonzero(zero), np.divmod(np.arange(n * n), n)
     shape = (len(cells[0]), n * n)
     dual_blocks = _split(w, shape, cells, every)

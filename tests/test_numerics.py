@@ -344,3 +344,13 @@ class TestCharPoly:
         coeffs, adj = char_poly_faddeev(example15)
         assert np.allclose(coeffs, [0.0, 0.0, 0.0, 1.0])  # nilpotent: x^3
         assert len(adj) == 3
+
+
+def test_fro_is_numpys_norm_bitwise():
+    rng = np.random.default_rng(12)
+    arrays = [rng.normal(size=(n, m)) * 10.0 ** rng.integers(-150, 150)
+              for n, m in ((1, 1), (3, 5), (8, 8), (40, 33))]
+    arrays += [a.T for a in arrays] + [a[::2, 1:] for a in arrays] + [a.reshape(-1) for a in arrays]
+    arrays += [np.zeros((0, 3)), np.array([[-0.0, 0.0]]), np.arange(12).reshape(3, 4)]
+    for a in arrays:
+        assert fro(a) == float(np.linalg.norm(a)) and type(fro(a)) is float

@@ -472,3 +472,54 @@ def test_class_checks_match_entry_loops_at_the_threshold(instance):
                  if (abs(a[i, j]) > thr) != bool(flips[i, j])]
         for g in (Graph.from_edges(n, edges), Graph.empty(n)):
             assert matrix_in_graph_class(a, g) == _graph_class_loop(a, g)
+
+
+def _sign_pattern_loop(a, threshold=None):
+    """Entry-by-entry reference for SignPattern.from_matrix."""
+    thr = entry_zero_threshold(a) if threshold is None else threshold
+    return tuple(tuple(0 if abs(a[i, j]) <= thr else (1 if a[i, j] > 0 else -1)
+                       for j in range(len(a))) for i in range(len(a)))
+
+
+def test_from_matrix_matches_the_entry_loop():
+    # off-diagonal entries at exactly +-thr, one ulp either side of it, +0.0
+    # and -0.0, with the default threshold and with explicit ones
+    rng = np.random.default_rng(55)
+    for n in (1, 2, 3, 6, 12, 32):
+        for _ in range(10):
+            a = rng.normal(size=(n, n))
+            placed = rng.choice(7, size=(n, n), p=[0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+            np.fill_diagonal(placed, 0)  # the diagonal keeps a nonzero norm
+            a[placed > 0] = 0.0
+            thr = entry_zero_threshold(a)
+            for k, value in enumerate((thr, -thr, np.nextafter(thr, 0.0),
+                                       -np.nextafter(thr, np.inf), 0.0, -0.0), start=1):
+                a[placed == k] = value
+            assert entry_zero_threshold(a) == thr
+            for threshold in (None, thr, 0.0, 0.5):
+                cells = SignPattern.from_matrix(a, threshold).cells
+                assert cells == _sign_pattern_loop(a, threshold)
+                assert all(type(v) is int for row in cells for v in row)
+
+
+def test_sign_pattern_rejects_what_it_did():
+    for n, cells in ((2, ((1, 0), (0,))), (2, ((1, 0), (0, 2))), (2, ((1, 0), (0, [1]))),
+                     (1, (("+",),)), (0, ()), (2, ((1, 0),))):
+        with pytest.raises(InputError):
+            SignPattern(n=n, cells=cells)
+    assert SignPattern(n=2, cells=((1.0, 0), (True, -1))).n == 2
+
+
+def test_cached_structure_is_read_only():
+    g = Graph.cycle(5)
+    p = SignPattern.from_rows([[1, 0, -1], [0, 1, 0], [-1, 0, 1]])
+    for array in (g._adjacency, *g._non_edges, p._signs):
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert g._adjacency is g._adjacency and p._signs is p._signs
+    # as_array is a fresh, writable copy
+    fresh = p.as_array()
+    fresh[0, 0] = 0
+    assert p.as_array()[0, 0] == 1 and p._signs[0, 0] == 1
+    assert np.array_equal(g._adjacency, adjacency(g) != 0)
+    assert np.array_equal(Graph.from_edges(5, g.edges)._adjacency, g._adjacency)

@@ -575,7 +575,7 @@ def _signed_inputs(rng, n):
     1e-13, which the class checks accept, on one of them (mirrored for the
     symmetric one)."""
     g = random_graph(rng, n)
-    sym, cells = random_in_graph_class(rng, g), verifiers._non_edges(g)
+    sym, cells = random_in_graph_class(rng, g), g._non_edges
     assert len(cells[0]) >= 2
     for value, part in ((1e-13, slice(None, 1)), (-0.0, slice(1, None))):
         rows, cols = cells[0][part], cells[1][part]
@@ -607,7 +607,7 @@ def test_dual_assembler_matches_the_elementwise_blocks(monkeypatch):
     for n in (5, 6, 8):
         g, sym, pattern, square = _signed_inputs(rng, n)
         w = verifiers._prepare_symmetric(sym, g, DEFAULT_TOL)[1]
-        cases = [(prop, lambda verifier=verifier: verifier(sym, g), w, verifiers._non_edges(g))
+        cases = [(prop, lambda verifier=verifier: verifier(sym, g), w, g._non_edges)
                  for prop, verifier in zip(("ssp", "smp", "sap"), ALL_SYMMETRIC)]
         cases.append(("nssp", lambda: verify_nssp(square, pattern=pattern), square / fro(square),
                       np.nonzero(pattern.as_array() == 0)))
@@ -840,3 +840,48 @@ class TestGramRoute:
             "False (span 20/21)"
         )
         assert gram_decisions == []
+
+
+def _arnoldi_loop(w, cut):
+    """_polynomial_basis without its shortcut for a diagonal W with a
+    repeated value: the Arnoldi loop alone, the reference."""
+    n = w.shape[0]
+    basis = np.empty((n, n * n))
+    basis[0] = np.eye(n).reshape(-1) / np.sqrt(n)
+    for k in range(1, n):
+        v = (w @ basis[k - 1].reshape(n, n)).reshape(-1)
+        for _ in range(2):
+            v -= basis[:k].T @ (basis[:k] @ v)
+        height = float(np.sqrt(v @ v))
+        if height <= cut:
+            return None
+        basis[k] = v / height
+    return basis.reshape(n, n, n)
+
+
+def test_polynomial_basis_shortcut_matches_the_arnoldi_loop():
+    # seeded diagonals, with and without a repeated value (among them +0.0
+    # and -0.0 together), and near-diagonal inputs the shortcut must leave
+    # to the loop, at cuts around rank_tol * sigma_max
+    rng = np.random.default_rng(57)
+    outcomes = set()
+    for n in (1, 2, 3, 4, 8, 16, 32):
+        for trial in range(12):
+            d = rng.normal(size=n)
+            if trial % 3 == 0 and n > 1:
+                i, j = rng.choice(n, size=2, replace=False)
+                d[i] = d[j]
+            elif trial % 3 == 1 and n > 1:
+                d = rng.integers(-2, 3, size=n).astype(float)
+                d[d == 0] = rng.choice([0.0, -0.0], size=int(np.count_nonzero(d == 0)))
+            w = np.diag(d)
+            if trial % 4 == 3 and n > 1:
+                w[0, n - 1] = 1e-3
+            w = w / fro(w) if fro(w) > 0 else w
+            for cut in (1e-8, 2e-8, 1e-12):
+                new, old = verifiers._polynomial_basis(w, cut), _arnoldi_loop(w, cut)
+                assert (new is None) == (old is None)
+                if new is not None:
+                    assert new.tobytes() == old.tobytes()
+                outcomes.add(new is None)
+    assert outcomes == {True, False}
